@@ -97,9 +97,6 @@ addThreadsOption(ArgParser &args)
                    "record a Chrome/Perfetto trace to this file");
     args.addString("metrics-out", "",
                    "export the metrics registry as JSON to this file");
-    args.addString("metrics-text-out", "",
-                   "export the metrics registry as Prometheus text "
-                   "exposition to this file");
     args.addString("report-out", "",
                    "write a self-contained HTML dashboard built from "
                    "the --trace-out / --metrics-out artifacts and "
@@ -142,10 +139,6 @@ applyThreadsOption(const ArgParser &args)
     const std::string metrics_out = args.getString("metrics-out");
     if (!metrics_out.empty())
         obs::setMetricsOutputPath(metrics_out);
-    const std::string metrics_text_out =
-        args.getString("metrics-text-out");
-    if (!metrics_text_out.empty())
-        obs::setMetricsTextOutputPath(metrics_text_out);
 
     const std::int64_t budget_mib = args.getInt("mem-budget");
     if (budget_mib > 0)
@@ -233,8 +226,8 @@ namespace bench_detail {
 
 /**
  * SIGINT/SIGTERM handler: flush any armed --trace-out /
- * --metrics-out / --metrics-text-out exports, then die by the
- * default disposition so the shell still sees a signal death.
+ * --metrics-out exports, then die by the default disposition so the
+ * shell still sees a signal death.
  * flushObservability() is not async-signal-safe in the strict sense;
  * this is a best-effort last write on an interactive ^C, and the
  * worst case is a torn output file that was about to be dropped
@@ -265,8 +258,7 @@ installSignalFlush()
  * std::terminate with an opaque abort. Armed --trace-out /
  * --metrics-out exports are flushed on the way out — including on
  * SIGINT/SIGTERM, so an interrupted run still leaves its
- * observability artifacts behind (long-lived daemons may override
- * the handlers with their own graceful-drain logic).
+ * observability artifacts behind.
  *
  * Usage:
  *   namespace { int run(int argc, char **argv) { ... } }
@@ -365,7 +357,8 @@ class BenchJsonWriter
     /**
      * Write the envelope. Empty path = results/BENCH_<name>.json
      * relative to the working directory. Returns false (after a
-     * warning) when the file cannot be created.
+     * warning) when the file cannot be created or the write or close
+     * fails.
      */
     bool
     write(const std::string &path = "") const
@@ -402,7 +395,11 @@ class BenchJsonWriter
             first = false;
         }
         std::fprintf(fp, "\n  }\n}\n");
-        std::fclose(fp);
+        const bool written = std::ferror(fp) == 0;
+        if (std::fclose(fp) != 0 || !written) {
+            GWS_WARN("short write of bench JSON to ", out);
+            return false;
+        }
         std::printf("wrote %s\n", out.c_str());
         return true;
     }

@@ -74,7 +74,7 @@ void drawWorkCacheInsert(const DrawWorkKey &key, const DrawWork &work);
 /** Entries currently cached. */
 std::size_t drawWorkCacheSize();
 
-/** Drop every cached entry (tests and long-lived servers). */
+/** Drop every cached entry (tests and benchmarks). */
 void drawWorkCacheClear();
 
 } // namespace gws

@@ -23,8 +23,6 @@ toString(MetricType type)
         return "gauge";
       case MetricType::Histogram:
         return "histogram";
-      case MetricType::Info:
-        return "info";
     }
     GWS_PANIC("unknown metric type ", static_cast<int>(type));
 }
@@ -85,9 +83,6 @@ struct MetricsRegistry::Entry
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-
-    /** Info annotation (guarded by the registry mutex, not atomic). */
-    std::string infoValue;
 };
 
 /** Name -> entry map behind one mutex (lookups only; updates are
@@ -126,8 +121,6 @@ MetricsRegistry::entryFor(const std::string &name, MetricType type)
           case MetricType::Histogram:
             entry.histogram.reset(new Histogram);
             break;
-          case MetricType::Info:
-            break; // the annotation string lives in the entry itself
         }
     }
     GWS_ASSERT(entry.type == type, "metric '", name,
@@ -152,25 +145,6 @@ Histogram &
 MetricsRegistry::histogram(const std::string &name)
 {
     return *entryFor(name, MetricType::Histogram).histogram;
-}
-
-void
-MetricsRegistry::setInfo(const std::string &name,
-                         const std::string &value)
-{
-    // entryFor() drops the registry mutex on return, and the
-    // annotation string is not atomic, so the find-or-create and the
-    // write must share one locked section.
-    GWS_ASSERT(!name.empty(), "metric with an empty name");
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    auto [it, inserted] = impl->entries.try_emplace(name);
-    Entry &entry = it->second;
-    if (inserted)
-        entry.type = MetricType::Info;
-    GWS_ASSERT(entry.type == MetricType::Info, "metric '", name,
-               "' re-registered as info but is a ",
-               toString(entry.type));
-    entry.infoValue = value;
 }
 
 std::vector<MetricSnapshot>
@@ -209,9 +183,6 @@ MetricsRegistry::snapshotPrefix(const std::string &prefix) const
                      Histogram::bucketUpperBound(b), n});
             }
             break;
-          case MetricType::Info:
-            row.infoValue = entry.infoValue;
-            break;
         }
         out.push_back(std::move(row));
     }
@@ -240,9 +211,6 @@ MetricsRegistry::resetPrefix(const std::string &prefix)
             break;
           case MetricType::Histogram:
             entry.histogram->reset();
-            break;
-          case MetricType::Info:
-            entry.infoValue.clear();
             break;
         }
     }
@@ -364,10 +332,6 @@ MetricsRegistry::toJson() const
             oss << "]}";
             break;
           }
-          case MetricType::Info:
-            oss << "\"value\": \"" << jsonEscape(row.infoValue)
-                << "\"}";
-            break;
         }
     }
     oss << "\n  ]\n}\n";
@@ -383,8 +347,12 @@ MetricsRegistry::writeJson(const std::string &path) const
         return false;
     }
     const std::string json = toJson();
-    std::fwrite(json.data(), 1, json.size(), fp);
-    std::fclose(fp);
+    const bool written =
+        std::fwrite(json.data(), 1, json.size(), fp) == json.size();
+    if (std::fclose(fp) != 0 || !written) {
+        GWS_WARN("short write of metrics JSON to ", path);
+        return false;
+    }
     return true;
 }
 

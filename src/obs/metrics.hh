@@ -31,7 +31,7 @@ namespace gws {
 namespace obs {
 
 /** Kind of a registered metric (drives the export schema). */
-enum class MetricType { Counter, Gauge, Histogram, Info };
+enum class MetricType { Counter, Gauge, Histogram };
 
 /** Printable name of a metric type ("counter", ...). */
 const char *toString(MetricType type);
@@ -186,9 +186,6 @@ struct MetricSnapshot
         std::uint64_t count = 0;
     };
     std::vector<Bucket> buckets;
-
-    /** Annotation text (info metrics only). */
-    std::string infoValue;
 };
 
 /**
@@ -218,15 +215,6 @@ class MetricsRegistry
     /** Get or create the histogram `name`. */
     Histogram &histogram(const std::string &name);
 
-    /**
-     * Set the info metric `name` to an annotation string (build
-     * revision, protocol identity, ...). Info metrics export as
-     * `{"type": "info", "value": "..."}` in JSON and as a
-     * constant-1 sample with a `value` label in Prometheus text, the
-     * conventional shape for identity metrics.
-     */
-    void setInfo(const std::string &name, const std::string &value);
-
     /** Snapshot every metric, sorted by name. */
     std::vector<MetricSnapshot> snapshot() const;
 
@@ -249,7 +237,7 @@ class MetricsRegistry
 
     /**
      * Write toJson() to `path`. Returns false (after a warning) when
-     * the file cannot be opened.
+     * the file cannot be opened or the write or close fails.
      */
     bool writeJson(const std::string &path) const;
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Umbrella header for the observability layer: span tracer (trace.hh),
- * metrics registry (metrics.hh), the Prometheus text exporter
- * (metrics_text.hh), and the peak-RSS probe (mem.hh).
+ * metrics registry (metrics.hh), and the peak-RSS probe (mem.hh).
  */
 
 #ifndef GWS_OBS_OBS_HH
@@ -10,7 +9,6 @@
 
 #include "obs/mem.hh"
 #include "obs/metrics.hh"
-#include "obs/metrics_text.hh"
 #include "obs/trace.hh"
 
 #endif // GWS_OBS_OBS_HH

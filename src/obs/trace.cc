@@ -11,7 +11,6 @@
 
 #include "obs/mem.hh"
 #include "obs/metrics.hh"
-#include "obs/metrics_text.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 
@@ -134,7 +133,6 @@ sinceT0(std::uint64_t ns)
 std::mutex g_export_mutex;
 std::string g_trace_path;
 std::string g_metrics_path;
-std::string g_metrics_text_path;
 bool g_atexit_registered = false;
 
 void
@@ -398,8 +396,12 @@ writeChromeTrace(const std::string &path)
     oss << "\n]}\n";
 
     const std::string json = oss.str();
-    std::fwrite(json.data(), 1, json.size(), fp);
-    std::fclose(fp);
+    const bool written =
+        std::fwrite(json.data(), 1, json.size(), fp) == json.size();
+    if (std::fclose(fp) != 0 || !written) {
+        GWS_WARN("short write of trace JSON to ", path);
+        return false;
+    }
     return true;
 }
 
@@ -422,35 +424,22 @@ setMetricsOutputPath(const std::string &metricsPath)
 }
 
 void
-setMetricsTextOutputPath(const std::string &metricsTextPath)
-{
-    std::lock_guard<std::mutex> lock(g_export_mutex);
-    g_metrics_text_path = metricsTextPath;
-    if (!metricsTextPath.empty())
-        armAtexitLocked();
-}
-
-void
 flushObservability()
 {
     // Final peak-RSS sample so every export carries the high-water
     // mark of the whole run.
     updatePeakRssGauge();
-    std::string trace_path, metrics_path, metrics_text_path;
+    std::string trace_path, metrics_path;
     {
         std::lock_guard<std::mutex> lock(g_export_mutex);
         trace_path.swap(g_trace_path);
         metrics_path.swap(g_metrics_path);
-        metrics_text_path.swap(g_metrics_text_path);
     }
     if (!trace_path.empty() && writeChromeTrace(trace_path))
         GWS_INFORM("wrote trace to ", trace_path);
     if (!metrics_path.empty() &&
         metricsRegistry().writeJson(metrics_path))
         GWS_INFORM("wrote metrics to ", metrics_path);
-    if (!metrics_text_path.empty() &&
-        writeMetricsText(metrics_text_path))
-        GWS_INFORM("wrote metrics text to ", metrics_text_path);
 }
 
 namespace {

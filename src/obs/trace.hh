@@ -184,8 +184,8 @@ std::vector<TraceEvent> traceSnapshot();
 
 /**
  * Write the recorded events as Chrome trace-event JSON. Returns
- * false (after a warning) when the file cannot be opened. Requires
- * quiescence.
+ * false (after a warning) when the file cannot be opened or the
+ * write or close fails. Requires quiescence.
  */
 bool writeChromeTrace(const std::string &path);
 
@@ -219,12 +219,6 @@ std::string traceRollupReport();
  */
 void setTraceOutputPath(const std::string &tracePath);
 void setMetricsOutputPath(const std::string &metricsPath);
-
-/**
- * Arm Prometheus text-exposition export (metrics_text.hh) alongside
- * the JSON exports; same flush-once lifecycle.
- */
-void setMetricsTextOutputPath(const std::string &metricsTextPath);
 
 /** Write any armed exports now (idempotent). */
 void flushObservability();

@@ -3,91 +3,29 @@
  * gws_report: turn observability artifacts into one self-contained
  * HTML execution dashboard.
  *
- * Offline mode reads any mix of a Perfetto trace (--trace), a
- * metrics snapshot in gws.metrics.v1 JSON or Prometheus text
- * (--metrics), and a directory of gws.bench.v1 envelopes
- * (--bench-dir), and writes the dashboard once:
+ * It reads any mix of a Perfetto trace (--trace), a gws.metrics.v1
+ * metrics snapshot (--metrics), and a directory of gws.bench.v1
+ * envelopes (--bench-dir), and writes the dashboard once:
  *
  *   gws_report --trace=fig7.trace.json --metrics=fig7.metrics.json \
- *              --bench-dir=results -o report.html
- *
- * Live mode polls a running gws_served daemon's MetricsScrape
- * endpoint and rewrites the dashboard on every poll (atomic rename,
- * so a browser auto-refreshing the file never sees a torn page):
- *
- *   gws_report --connect=unix:/tmp/gws.sock -o live.html
- *   gws_report --connect=tcp:7421 --interval=1 --polls=30
+ *              --bench-dir=results --out=report.html
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <thread>
 
 #include "report/report.hh"
-#include "serve/client.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
-#include "util/strings.hh"
 
 namespace {
 
 using namespace gws;
 using namespace gws::report;
 
-serve::ServeClient
-connectDaemon(const std::string &endpoint)
-{
-    if (startsWith(endpoint, "unix:"))
-        return serve::ServeClient::connectUnix(endpoint.substr(5));
-    if (startsWith(endpoint, "tcp:")) {
-        const long port = std::strtol(endpoint.c_str() + 4, nullptr,
-                                      10);
-        if (port <= 0 || port > 65535)
-            GWS_FATAL("gws_report: bad port in --connect=",
-                      endpoint);
-        return serve::ServeClient::connectTcp(
-            static_cast<std::uint16_t>(port));
-    }
-    GWS_FATAL("gws_report: --connect needs unix:<path> or "
-              "tcp:<port>, got ", endpoint);
-}
-
-int
-runLive(const ArgParser &args)
-{
-    const std::string endpoint = args.getString("connect");
-    const std::string out = args.getString("out");
-    const double interval =
-        std::max(0.1, args.getDouble("interval"));
-    const std::int64_t polls = args.getInt("polls");
-
-    for (std::int64_t poll = 0; polls <= 0 || poll < polls; ++poll) {
-        if (poll > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(
-                    static_cast<long>(interval * 1000.0)));
-        // One connection per poll: the daemon serves one request per
-        // connection cheaply, and reconnecting rides out restarts.
-        serve::ServeClient client = connectDaemon(endpoint);
-        const MetricsData metrics = readMetricsText(
-            client.scrapeMetrics(serve::MetricsFormat::Json));
-        writeReportHtml(buildLiveReportModel(metrics, endpoint),
-                        out);
-        std::printf("poll %lld: wrote %s\n",
-                    static_cast<long long>(poll + 1), out.c_str());
-    }
-    return 0;
-}
-
 int
 run(const ArgParser &args)
 {
-    if (!args.getString("connect").empty())
-        return runLive(args);
-
     ReportInputs inputs;
     inputs.tracePath = args.getString("trace");
     inputs.metricsPath = args.getString("metrics");
@@ -110,18 +48,11 @@ main(int argc, char **argv)
     args.addString("trace", "",
                    "Perfetto trace JSON (--trace-out of any bench)");
     args.addString("metrics", "",
-                   "metrics snapshot, gws.metrics.v1 JSON or "
-                   "Prometheus text");
+                   "gws.metrics.v1 metrics snapshot (--metrics-out of "
+                   "any bench)");
     args.addString("bench-dir", "",
                    "directory of BENCH_*.json envelopes");
     args.addString("out", "report.html", "output HTML path");
-    args.addString("connect", "",
-                   "live mode: gws_served endpoint "
-                   "(unix:<path> | tcp:<port>)");
-    args.addDouble("interval", 2.0,
-                   "live mode: seconds between scrapes");
-    args.addInt("polls", 0,
-                "live mode: stop after N polls (0 = run forever)");
     if (!args.parse(argc, argv))
         return 0;
 

@@ -264,15 +264,12 @@ svgClusterScatter(const std::vector<ClusterQualityRow> &rows)
 }
 
 std::string
-htmlHeader(const std::string &title, int refreshSeconds)
+htmlHeader(const std::string &title)
 {
     std::ostringstream os;
     os << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-       << "<meta charset=\"utf-8\">\n";
-    if (refreshSeconds > 0)
-        os << "<meta http-equiv=\"refresh\" content=\""
-           << refreshSeconds << "\">\n";
-    os << "<title>" << htmlEscape(title) << "</title>\n"
+       << "<meta charset=\"utf-8\">\n"
+       << "<title>" << htmlEscape(title) << "</title>\n"
        << "<style>\n"
           "body{font:14px/1.45 system-ui,sans-serif;margin:0;"
           "background:#f6f7f9;color:#1b1f24}\n"

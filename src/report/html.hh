@@ -51,9 +51,8 @@ std::string heatmapTable(const Heatmap &hm);
 std::string svgClusterScatter(
     const std::vector<ClusterQualityRow> &rows);
 
-/** Document shell up to the opening of <body>. `refreshSeconds` > 0
- *  embeds a same-document meta refresh (live mode). */
-std::string htmlHeader(const std::string &title, int refreshSeconds);
+/** Document shell up to the opening of <body>. */
+std::string htmlHeader(const std::string &title);
 
 /** Closing boilerplate matching htmlHeader(). */
 std::string htmlFooter();

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <dirent.h>
 #include <unordered_map>
-
-#include "obs/metrics_text.hh"
 
 namespace gws {
 namespace report {
@@ -132,9 +129,8 @@ readPerfettoTraceFile(const std::string &path)
 const MetricRow *
 MetricsData::find(const std::string &name) const
 {
-    const std::string mapped = obs::prometheusName(name);
     for (const MetricRow &row : rows)
-        if (row.name == name || row.name == mapped)
+        if (row.name == name)
             return &row;
     return nullptr;
 }
@@ -142,17 +138,15 @@ MetricsData::find(const std::string &name) const
 std::vector<const MetricRow *>
 MetricsData::withPrefix(const std::string &prefix) const
 {
-    const std::string mapped = obs::prometheusName(prefix);
     std::vector<const MetricRow *> out;
     for (const MetricRow &row : rows)
-        if (row.name.compare(0, prefix.size(), prefix) == 0 ||
-            row.name.compare(0, mapped.size(), mapped) == 0)
+        if (row.name.compare(0, prefix.size(), prefix) == 0)
             out.push_back(&row);
     return out;
 }
 
 MetricsData
-readMetricsJsonText(const std::string &text)
+readMetricsText(const std::string &text)
 {
     const JsonValue root = parseJson(text);
     const std::string &schema = root.at("schema").string();
@@ -167,8 +161,6 @@ readMetricsJsonText(const std::string &text)
         row.type = m.at("type").string();
         if (row.type == "counter" || row.type == "gauge") {
             row.value = m.at("value").number();
-        } else if (row.type == "info") {
-            row.info = m.at("value").string();
         } else if (row.type == "histogram") {
             row.count = asUint(m.at("count"), "histogram count");
             row.sum = m.at("sum").number();
@@ -192,223 +184,6 @@ readMetricsJsonText(const std::string &text)
         out.rows.push_back(std::move(row));
     }
     return out;
-}
-
-namespace {
-
-/** One Prometheus sample line, split into parts. */
-struct PromSample
-{
-    std::string name;
-    std::string labels; // raw text between the braces, may be empty
-    double value = 0.0;
-};
-
-bool
-parsePromLine(const std::string &line, PromSample &out,
-              std::size_t lineNo)
-{
-    std::size_t i = 0;
-    while (i < line.size() &&
-           (line[i] == ' ' || line[i] == '\t'))
-        ++i;
-    if (i >= line.size() || line[i] == '#')
-        return false; // blank or comment
-
-    const std::size_t nameStart = i;
-    while (i < line.size() && line[i] != '{' && line[i] != ' ' &&
-           line[i] != '\t')
-        ++i;
-    out.name = line.substr(nameStart, i - nameStart);
-    if (out.name.empty())
-        throw ReportError("report: prometheus line " +
-                          std::to_string(lineNo) +
-                          ": missing metric name");
-
-    out.labels.clear();
-    if (i < line.size() && line[i] == '{') {
-        const std::size_t close = line.find('}', i);
-        if (close == std::string::npos)
-            throw ReportError("report: prometheus line " +
-                              std::to_string(lineNo) +
-                              ": unterminated label set");
-        out.labels = line.substr(i + 1, close - i - 1);
-        i = close + 1;
-    }
-
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t'))
-        ++i;
-    if (i >= line.size())
-        throw ReportError("report: prometheus line " +
-                          std::to_string(lineNo) + ": missing value");
-    errno = 0;
-    char *end = nullptr;
-    out.value = std::strtod(line.c_str() + i, &end);
-    if (end == line.c_str() + i)
-        throw ReportError("report: prometheus line " +
-                          std::to_string(lineNo) +
-                          ": unparseable value");
-    return true;
-}
-
-/** The value of label `key` within a raw label-set string, or "". */
-std::string
-promLabel(const std::string &labels, const std::string &key)
-{
-    const std::string needle = key + "=\"";
-    const std::size_t at = labels.find(needle);
-    if (at == std::string::npos)
-        return "";
-    std::string out;
-    std::size_t i = at + needle.size();
-    while (i < labels.size() && labels[i] != '"') {
-        if (labels[i] == '\\' && i + 1 < labels.size()) {
-            ++i;
-            out.push_back(labels[i] == 'n' ? '\n' : labels[i]);
-        } else {
-            out.push_back(labels[i]);
-        }
-        ++i;
-    }
-    return out;
-}
-
-bool
-stripSuffix(std::string &name, const char *suffix)
-{
-    const std::size_t n = std::strlen(suffix);
-    if (name.size() <= n ||
-        name.compare(name.size() - n, n, suffix) != 0)
-        return false;
-    name.resize(name.size() - n);
-    return true;
-}
-
-} // namespace
-
-MetricsData
-readMetricsPrometheusText(const std::string &text)
-{
-    MetricsData out;
-    // Rows index by base name as they are discovered; the exporter
-    // writes each histogram's _bucket series before its _sum/_count/
-    // _p* samples, so attaching suffixes to the existing row works.
-    auto rowFor = [&out](const std::string &base,
-                         const char *type) -> MetricRow & {
-        for (MetricRow &row : out.rows)
-            if (row.name == base)
-                return row;
-        MetricRow row;
-        row.name = base;
-        row.type = type;
-        out.rows.push_back(std::move(row));
-        return out.rows.back();
-    };
-    auto histogramFor =
-        [&out](const std::string &base) -> MetricRow * {
-        for (MetricRow &row : out.rows)
-            if (row.name == base && row.type == "histogram")
-                return &row;
-        return nullptr;
-    };
-
-    std::size_t lineNo = 0;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t nl = text.find('\n', pos);
-        const std::string line =
-            text.substr(pos, nl == std::string::npos ? std::string::npos
-                                                     : nl - pos);
-        pos = nl == std::string::npos ? text.size() + 1 : nl + 1;
-        ++lineNo;
-
-        PromSample s;
-        if (!parsePromLine(line, s, lineNo))
-            continue;
-
-        std::string base = s.name;
-        if (stripSuffix(base, "_bucket")) {
-            const std::string le = promLabel(s.labels, "le");
-            MetricRow &row = rowFor(base, "histogram");
-            if (le != "+Inf") {
-                MetricRow::Bucket b;
-                errno = 0;
-                b.hi = std::strtoull(le.c_str(), nullptr, 10);
-                // Cumulative on the wire; de-cumulated below.
-                b.count = static_cast<std::uint64_t>(s.value);
-                b.lo = row.buckets.empty()
-                           ? 0
-                           : row.buckets.back().hi + 1;
-                row.buckets.push_back(b);
-            }
-            continue;
-        }
-        base = s.name;
-        if (stripSuffix(base, "_sum") && histogramFor(base)) {
-            histogramFor(base)->sum = s.value;
-            continue;
-        }
-        base = s.name;
-        if (stripSuffix(base, "_count") && histogramFor(base)) {
-            histogramFor(base)->count =
-                static_cast<std::uint64_t>(s.value);
-            continue;
-        }
-        base = s.name;
-        if (stripSuffix(base, "_p50") && histogramFor(base)) {
-            histogramFor(base)->p50 = s.value;
-            continue;
-        }
-        base = s.name;
-        if (stripSuffix(base, "_p95") && histogramFor(base)) {
-            histogramFor(base)->p95 = s.value;
-            continue;
-        }
-        base = s.name;
-        if (stripSuffix(base, "_p99") && histogramFor(base)) {
-            histogramFor(base)->p99 = s.value;
-            continue;
-        }
-        base = s.name;
-        if (stripSuffix(base, "_total")) {
-            MetricRow &row = rowFor(base, "counter");
-            row.value = s.value;
-            continue;
-        }
-        const std::string info = promLabel(s.labels, "value");
-        if (!info.empty()) {
-            MetricRow &row = rowFor(s.name, "info");
-            row.info = info;
-            continue;
-        }
-        MetricRow &row = rowFor(s.name, "gauge");
-        row.value = s.value;
-    }
-
-    // Wire buckets are cumulative; the model's are not.
-    for (MetricRow &row : out.rows) {
-        if (row.type != "histogram")
-            continue;
-        std::uint64_t prev = 0;
-        for (MetricRow::Bucket &b : row.buckets) {
-            const std::uint64_t cum = b.count;
-            b.count = cum >= prev ? cum - prev : 0;
-            prev = cum;
-        }
-    }
-    return out;
-}
-
-MetricsData
-readMetricsText(const std::string &text)
-{
-    for (char c : text) {
-        if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-            continue;
-        return c == '{' ? readMetricsJsonText(text)
-                        : readMetricsPrometheusText(text);
-    }
-    throw ReportError("report: empty metrics input");
 }
 
 MetricsData

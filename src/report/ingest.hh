@@ -5,10 +5,7 @@
  *  - Perfetto/Chrome trace-event JSON, as written by
  *    obs::writeChromeTrace() ("X" complete spans, "s" flow starts,
  *    "f" flow finishes, "i" instants; microsecond timestamps);
- *  - metrics snapshots, either gws.metrics.v1 JSON
- *    (MetricsRegistry::toJson()) or Prometheus text exposition
- *    (metricsPrometheusText()) — the format is sniffed from the first
- *    non-whitespace byte;
+ *  - gws.metrics.v1 metrics snapshots (MetricsRegistry::toJson());
  *  - gws.bench.v1 envelopes (BenchJsonWriter), loaded singly or as a
  *    whole results/ directory of BENCH_*.json files.
  *
@@ -74,7 +71,7 @@ TraceData readPerfettoTraceText(const std::string &text);
 /** readPerfettoTraceText() over a file's contents. */
 TraceData readPerfettoTraceFile(const std::string &path);
 
-/** One metric in a snapshot, normalised across both wire formats. */
+/** One metric in a gws.metrics.v1 snapshot. */
 struct MetricRow
 {
     struct Bucket
@@ -84,18 +81,14 @@ struct MetricRow
         std::uint64_t count = 0;
     };
 
-    /** Name as the source spelled it (dotted in JSON, underscored
-     *  in Prometheus text). */
+    /** Registered (dotted) name. */
     std::string name;
 
-    /** "counter", "gauge", "histogram", or "info". */
+    /** "counter", "gauge", or "histogram". */
     std::string type;
 
     /** Counter / gauge payload. */
     double value = 0.0;
-
-    /** Info annotation string. */
-    std::string info;
 
     /** Histogram observation count. */
     std::uint64_t count = 0;
@@ -108,8 +101,7 @@ struct MetricRow
     double p95 = 0.0;
     double p99 = 0.0;
 
-    /** Non-cumulative log2 buckets (may be empty for Prometheus
-     *  input if the series was truncated). */
+    /** Non-empty log2 buckets. */
     std::vector<Bucket> buckets;
 };
 
@@ -118,27 +110,16 @@ struct MetricsData
 {
     std::vector<MetricRow> rows;
 
-    /**
-     * Look up a metric by its dotted name. Prometheus-sourced rows
-     * match through the same charset mapping the exporter applies
-     * (dots -> underscores, counters' "_total" suffix), so callers
-     * always query with the registry spelling, e.g.
-     * "gws.part.shard_imbalance".
-     */
+    /** Look up a metric by its registered name, e.g.
+     *  "gws.part.shard_imbalance". */
     const MetricRow *find(const std::string &name) const;
 
-    /** All rows whose dotted-name lookup form starts with `prefix`. */
+    /** All rows whose name starts with `prefix`. */
     std::vector<const MetricRow *>
     withPrefix(const std::string &prefix) const;
 };
 
 /** Parse a gws.metrics.v1 JSON document. Throws ReportError. */
-MetricsData readMetricsJsonText(const std::string &text);
-
-/** Parse Prometheus text exposition. Throws ReportError. */
-MetricsData readMetricsPrometheusText(const std::string &text);
-
-/** Sniff the format ('{' = JSON, else Prometheus) and parse. */
 MetricsData readMetricsText(const std::string &text);
 
 /** readMetricsText() over a file's contents. */

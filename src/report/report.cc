@@ -46,18 +46,6 @@ buildReportModel(const ReportInputs &inputs)
     return model;
 }
 
-ReportModel
-buildLiveReportModel(const MetricsData &metrics,
-                     const std::string &endpoint)
-{
-    ReportModel model;
-    model.live = true;
-    model.metrics = metrics;
-    model.hasMetrics = true;
-    model.sources.push_back("live scrape: " + endpoint);
-    return model;
-}
-
 namespace {
 
 /** One KPI chip. */
@@ -92,9 +80,6 @@ metricsTable(std::ostringstream &os, const MetricsData &metrics,
                << "</td><td>" << formatDouble(row->p95, 1)
                << "</td><td>" << formatDouble(row->p99, 1)
                << "</td>";
-        } else if (row->type == "info") {
-            os << "<td colspan=\"4\" class=\"name\">"
-               << htmlEscape(row->info) << "</td>";
         } else {
             os << "<td>" << formatDouble(row->value, 3)
                << "</td><td></td><td></td><td></td>";
@@ -118,23 +103,24 @@ std::string
 renderReportHtml(const ReportModel &model)
 {
     std::ostringstream os;
-    os << htmlHeader("gws execution dashboard",
-                     model.live ? 2 : 0);
-    os << "<header><h1>gws execution dashboard"
-       << (model.live ? " <small>(live)</small>" : "")
-       << "</h1><div class=\"sub\">3D workload subsetting — span "
-          "analytics, sweeps, and serving health</div></header>\n"
+    os << htmlHeader("gws execution dashboard");
+    os << "<header><h1>gws execution dashboard</h1>"
+          "<div class=\"sub\">3D workload subsetting — span "
+          "analytics and sweeps</div></header>\n"
        << "<main>\n";
 
     openPanel(os, "panel-meta", "Provenance");
+    if (model.hasMetrics) {
+        // The counter registers on the first drop, so a snapshot
+        // without it dropped nothing.
+        const MetricRow *dropped =
+            model.metrics.find("gws.trace.dropped_spans");
+        kpi(os, humanCount(dropped ? dropped->value : 0.0),
+            "trace spans dropped (gws.trace.dropped_spans)");
+    }
     os << "<ul>\n";
     for (const std::string &src : model.sources)
         os << "<li>" << htmlEscape(src) << "</li>\n";
-    if (model.hasMetrics)
-        if (const MetricRow *build =
-                model.metrics.find("gws.serve.build_info"))
-            os << "<li>serving build: " << htmlEscape(build->info)
-               << "</li>\n";
     os << "</ul>\n</section>\n";
 
     openPanel(os, "panel-utilization", "Per-stage utilization");
@@ -232,22 +218,6 @@ renderReportHtml(const ReportModel &model)
         os << "<p class=\"empty\">no streaming metrics</p>\n";
     os << "</section>\n";
 
-    openPanel(os, "panel-serve", "Serving (gws.serve.*)");
-    if (model.hasMetrics) {
-        if (const MetricRow *up =
-                model.metrics.find("gws.serve.uptime_seconds"))
-            kpi(os, formatDouble(up->value, 1) + " s",
-                "daemon uptime");
-        if (const MetricRow *dropped =
-                model.metrics.find("gws.trace.dropped_spans"))
-            kpi(os, humanCount(dropped->value),
-                "trace spans dropped");
-    }
-    if (!model.hasMetrics ||
-        !metricsTable(os, model.metrics, "gws.serve."))
-        os << "<p class=\"empty\">no serving metrics</p>\n";
-    os << "</section>\n";
-
     openPanel(os, "panel-benches", "Bench envelopes");
     if (model.benches.empty()) {
         os << "<p class=\"empty\">no bench envelopes</p>\n";
@@ -279,10 +249,9 @@ writeReportHtml(const ReportModel &model, const std::string &path)
     FILE *fp = std::fopen(tmp.c_str(), "w");
     if (fp == nullptr)
         throw ReportError("report: cannot write " + tmp);
-    const std::size_t n =
-        std::fwrite(html.data(), 1, html.size(), fp);
-    const bool ok = n == html.size() && std::fclose(fp) == 0;
-    if (!ok) {
+    const bool written =
+        std::fwrite(html.data(), 1, html.size(), fp) == html.size();
+    if (std::fclose(fp) != 0 || !written) {
         std::remove(tmp.c_str());
         throw ReportError("report: short write to " + tmp);
     }

@@ -8,14 +8,13 @@
  * renderReportHtml() lays the digested model out as the dashboard
  * panels, each wrapped in a <section id="panel-...">:
  *
- *   panel-meta             provenance (sources, git, mode)
+ *   panel-meta             provenance (sources), dropped trace spans
  *   panel-utilization      per-thread occupancy + stage self-time
  *   panel-bottlenecks      attribution table + critical-path KPIs
  *   panel-heatmap          sweep heatmaps from bench envelopes
  *   panel-cluster-quality  error/efficiency/outliers per family
  *   panel-shards           gws.part.* metrics
  *   panel-streams          gws.stream.* metrics
- *   panel-serve            gws.serve.* (uptime, build, latencies)
  *   panel-benches          envelope summary table
  *
  * The ids are the contract the structural tests (and the CI smoke
@@ -44,10 +43,6 @@ struct ReportInputs
 /** Everything renderReportHtml() needs, analysis already run. */
 struct ReportModel
 {
-    /** True when built from a live scrape (adds auto-refresh and a
-     *  "live" badge). */
-    bool live = false;
-
     /** Where the data came from, for the provenance panel. */
     std::vector<std::string> sources;
 
@@ -76,21 +71,13 @@ constexpr std::size_t reportMaxStages = 8;
  */
 ReportModel buildReportModel(const ReportInputs &inputs);
 
-/**
- * Build a model from an already-scraped metrics snapshot (live
- * mode). `endpoint` is a provenance label such as
- * "unix:/tmp/gws.sock".
- */
-ReportModel buildLiveReportModel(const MetricsData &metrics,
-                                 const std::string &endpoint);
-
 /** Render the model as one self-contained HTML document. */
 std::string renderReportHtml(const ReportModel &model);
 
 /**
  * renderReportHtml() to a file, written atomically (temp file +
- * rename) so a live-mode reader never sees a torn page. Throws
- * ReportError on write failure.
+ * rename) so a reader never sees a torn page. Throws ReportError on
+ * write failure.
  */
 void writeReportHtml(const ReportModel &model,
                      const std::string &path);

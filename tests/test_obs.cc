@@ -3,8 +3,8 @@
  * Unit tests for the observability layer: span nesting and self-time
  * accounting, flow links across parallelFor fan-outs, the metrics
  * registry (types, reset scoping, histogram buckets), both JSON
- * exporters (structural validation with a minimal parser), and the
- * disabled-tracer no-op guarantee.
+ * exporters (structural validation with a minimal parser, failed
+ * writes reported), and the disabled-tracer no-op guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -381,6 +381,9 @@ TEST_F(ObsTest, ChromeTraceExportIsValidJson)
     EXPECT_NE(text.find("\"ph\": \"s\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\": \"f\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\": \"i\""), std::string::npos);
+
+    // /dev/full opens, but every write to it fails with ENOSPC.
+    EXPECT_FALSE(obs::writeChromeTrace("/dev/full"));
 }
 
 // ------------------------------------------------------------ metrics --
@@ -498,6 +501,7 @@ TEST_F(ObsTest, MetricsJsonParsesAndCoversLegacyCounters)
     const std::string fileText = slurp(path);
     std::remove(path.c_str());
     EXPECT_TRUE(JsonValidator(fileText).valid());
+    EXPECT_FALSE(obs::metricsRegistry().writeJson("/dev/full"));
 }
 
 TEST_F(ObsTest, JsonEscapeHandlesControlCharacters)
@@ -509,58 +513,6 @@ TEST_F(ObsTest, JsonEscapeHandlesControlCharacters)
     EXPECT_EQ(escaped.find('\n'), std::string::npos);
 }
 
-// ----------------------------------------- Prometheus text export --
-
-TEST(MetricsText, PrometheusNameSanitizes)
-{
-    EXPECT_EQ(obs::prometheusName("gws.serve.query.ns"),
-              "gws_serve_query_ns");
-    EXPECT_EQ(obs::prometheusName("already_fine:ok"),
-              "already_fine:ok");
-    EXPECT_EQ(obs::prometheusName("3d.workload"), "_3d_workload");
-}
-
-TEST(MetricsText, CounterAndGaugeRows)
-{
-    std::vector<obs::MetricSnapshot> snapshot(2);
-    snapshot[0].name = "gws.test.hits";
-    snapshot[0].type = obs::MetricType::Counter;
-    snapshot[0].counterValue = 42;
-    snapshot[1].name = "gws.test.load";
-    snapshot[1].type = obs::MetricType::Gauge;
-    snapshot[1].gaugeValue = 1.5;
-
-    const std::string text = obs::metricsPrometheusText(snapshot);
-    EXPECT_NE(text.find("# TYPE gws_test_hits_total counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("gws_test_hits_total 42"),
-              std::string::npos);
-    EXPECT_NE(text.find("gws_test_load 1.5"), std::string::npos);
-}
-
-TEST(MetricsText, HistogramRowsAreCumulativeWithInf)
-{
-    std::vector<obs::MetricSnapshot> snapshot(1);
-    obs::MetricSnapshot &h = snapshot[0];
-    h.name = "gws.test.lat";
-    h.type = obs::MetricType::Histogram;
-    h.histCount = 3;
-    h.histSum = 700;
-    h.buckets = {{0, 100, 2}, {100, 1000, 1}};
-
-    const std::string text = obs::metricsPrometheusText(snapshot);
-    EXPECT_NE(text.find("# TYPE gws_test_lat histogram"),
-              std::string::npos);
-    EXPECT_NE(text.find("gws_test_lat_bucket{le=\"100\"} 2"),
-              std::string::npos);
-    // Cumulative: the second bucket includes the first's count.
-    EXPECT_NE(text.find("gws_test_lat_bucket{le=\"1000\"} 3"),
-              std::string::npos);
-    EXPECT_NE(text.find("gws_test_lat_bucket{le=\"+Inf\"} 3"),
-              std::string::npos);
-    EXPECT_NE(text.find("gws_test_lat_sum 700"), std::string::npos);
-    EXPECT_NE(text.find("gws_test_lat_count 3"), std::string::npos);
-}
 
 // ------------------------------------------- histogram percentiles --
 
@@ -608,12 +560,7 @@ TEST(MetricsQuantile, EstimateLandsWithinOneBucketOfExact)
             << "q=" << q << " exact=" << exact << " est=" << est;
     }
 
-    // The exporters surface the same estimates as first-class rows.
-    const std::string prom = obs::metricsPrometheusText(rows);
-    EXPECT_NE(prom.find("test_quant_lat_p50 "), std::string::npos);
-    EXPECT_NE(prom.find("test_quant_lat_p95 "), std::string::npos);
-    EXPECT_NE(prom.find("test_quant_lat_p99 "), std::string::npos);
-
+    // The exporter surfaces the same estimates as first-class fields.
     const std::string json = obs::metricsRegistry().toJson();
     EXPECT_NE(json.find("\"p50\""), std::string::npos);
     EXPECT_NE(json.find("\"p95\""), std::string::npos);
@@ -621,33 +568,6 @@ TEST(MetricsQuantile, EstimateLandsWithinOneBucketOfExact)
     EXPECT_TRUE(JsonValidator(json).valid());
 
     obs::metricsRegistry().resetPrefix("test.quant.");
-}
-
-// ------------------------------------------------------ info metrics --
-
-TEST(MetricsInfo, ExportsInJsonAndPrometheus)
-{
-    obs::metricsRegistry().setInfo("test_info.build",
-                                   "v1.2 \"dirty\"");
-
-    const auto rows =
-        obs::metricsRegistry().snapshotPrefix("test_info.");
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].type, obs::MetricType::Info);
-    EXPECT_EQ(rows[0].infoValue, "v1.2 \"dirty\"");
-
-    const std::string json = obs::metricsRegistry().toJson();
-    EXPECT_TRUE(JsonValidator(json).valid()) << json;
-    EXPECT_NE(json.find("\"type\": \"info\""), std::string::npos);
-
-    const std::string prom = obs::metricsPrometheusText(rows);
-    EXPECT_NE(prom.find("# TYPE test_info_build gauge"),
-              std::string::npos);
-    // The annotation rides in a `value` label, quotes escaped.
-    EXPECT_NE(prom.find("test_info_build{value=\"v1.2 "
-                        "\\\"dirty\\\"\"} 1"),
-              std::string::npos)
-        << prom;
 }
 
 // ------------------------------------------------- trace ring buffer --

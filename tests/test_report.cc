@@ -3,8 +3,8 @@
  * Tests of the report pipeline: the strict JSON reader (grammar
  * rejection, truncation, byte-flip fuzzing), trace ingest with
  * flow-id fold-back, golden span-forest / utilization / attribution
- * numbers for a hand-built fan-out trace, both metrics wire formats
- * round-tripped through the real exporters, bench-envelope loading,
+ * numbers for a hand-built fan-out trace, gws.metrics.v1 snapshots
+ * round-tripped through the registry exporter, bench-envelope loading,
  * and the rendered dashboard's structural contract (every panel id
  * present, zero external references).
  */
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "obs/metrics_text.hh"
 #include "report/analysis.hh"
 #include "report/ingest.hh"
 #include "report/json.hh"
@@ -356,10 +355,9 @@ TEST(ReportMetrics, JsonRoundTripThroughRegistryExporter)
         obs::metricsRegistry().histogram("test.report.lat");
     for (std::uint64_t v : {3u, 5u, 9u, 17u, 900u})
         h.record(v);
-    obs::metricsRegistry().setInfo("test.report.build", "abc-dirty");
 
     const MetricsData data =
-        readMetricsJsonText(obs::metricsRegistry().toJson());
+        readMetricsText(obs::metricsRegistry().toJson());
     obs::metricsRegistry().resetPrefix("test.report.");
 
     const MetricRow *hits = data.find("test.report.hits");
@@ -380,70 +378,25 @@ TEST(ReportMetrics, JsonRoundTripThroughRegistryExporter)
     EXPECT_GT(lat->p50, 0.0);
     EXPECT_GE(lat->p99, lat->p50);
 
-    const MetricRow *build = data.find("test.report.build");
-    ASSERT_NE(build, nullptr);
-    EXPECT_EQ(build->type, "info");
-    EXPECT_EQ(build->info, "abc-dirty");
-
-    EXPECT_EQ(data.withPrefix("test.report.").size(), 4u);
-}
-
-TEST(ReportMetrics, PrometheusRoundTripThroughTextExporter)
-{
-    std::vector<obs::MetricSnapshot> snapshot(4);
-    snapshot[0].name = "gws.test.hits";
-    snapshot[0].type = obs::MetricType::Counter;
-    snapshot[0].counterValue = 42;
-    snapshot[1].name = "gws.test.load";
-    snapshot[1].type = obs::MetricType::Gauge;
-    snapshot[1].gaugeValue = 1.5;
-    snapshot[2].name = "gws.test.lat";
-    snapshot[2].type = obs::MetricType::Histogram;
-    snapshot[2].histCount = 3;
-    snapshot[2].histSum = 700;
-    snapshot[2].buckets = {{0, 100, 2}, {100, 1000, 1}};
-    snapshot[3].name = "gws.test.build";
-    snapshot[3].type = obs::MetricType::Info;
-    snapshot[3].infoValue = "v1 \"x\"";
-
-    const MetricsData data = readMetricsText(
-        obs::metricsPrometheusText(snapshot));
-
-    // Dotted lookups resolve through the exporter's name mapping.
-    const MetricRow *hits = data.find("gws.test.hits");
-    ASSERT_NE(hits, nullptr);
-    EXPECT_EQ(hits->type, "counter");
-    EXPECT_DOUBLE_EQ(hits->value, 42.0);
-
-    const MetricRow *load = data.find("gws.test.load");
-    ASSERT_NE(load, nullptr);
-    EXPECT_EQ(load->type, "gauge");
-    EXPECT_DOUBLE_EQ(load->value, 1.5);
-
-    const MetricRow *lat = data.find("gws.test.lat");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->type, "histogram");
-    EXPECT_EQ(lat->count, 3u);
-    EXPECT_DOUBLE_EQ(lat->sum, 700.0);
-    // De-cumulated back to per-bucket counts.
-    ASSERT_EQ(lat->buckets.size(), 2u);
-    EXPECT_EQ(lat->buckets[0].count, 2u);
-    EXPECT_EQ(lat->buckets[1].count, 1u);
-    EXPECT_EQ(lat->buckets[1].hi, 1000u);
-
-    const MetricRow *build = data.find("gws.test.build");
-    ASSERT_NE(build, nullptr);
-    EXPECT_EQ(build->type, "info");
-    EXPECT_EQ(build->info, "v1 \"x\"");
+    EXPECT_EQ(data.withPrefix("test.report.").size(), 3u);
 }
 
 TEST(ReportMetrics, RejectsWrongSchemaAndEmptyInput)
 {
-    EXPECT_THROW(readMetricsJsonText(
+    EXPECT_THROW(readMetricsText(
                      "{\"schema\": \"other.v9\", \"metrics\": []}"),
                  ReportError);
     EXPECT_THROW(readMetricsText("   \n "), ReportError);
     EXPECT_THROW(readMetricsText("{\"schema\": \"gws.metrics.v1\""),
+                 ReportError);
+    // gws.metrics.v1 JSON is the only wire format, and each row must
+    // be a counter, gauge or histogram.
+    EXPECT_THROW(readMetricsText("gws_test_hits_total 42\n"),
+                 ReportError);
+    EXPECT_THROW(readMetricsText(
+                     "{\"schema\": \"gws.metrics.v1\", \"metrics\": "
+                     "[{\"name\": \"gws.test.build\", \"type\": "
+                     "\"info\", \"value\": \"abc\"}]}"),
                  ReportError);
 }
 
@@ -530,8 +483,7 @@ const char *kPanelIds[] = {
     "panel-meta",      "panel-utilization",
     "panel-bottlenecks", "panel-heatmap",
     "panel-cluster-quality", "panel-shards",
-    "panel-streams",   "panel-serve",
-    "panel-benches",
+    "panel-streams",   "panel-benches",
 };
 
 void
@@ -559,8 +511,10 @@ TEST(ReportPage, OfflineModelRendersAllPanelsSelfContained)
     writeFile(tracePath, kGoldenTrace);
     const std::string metricsPath = tmpPath("golden_metrics.json");
     obs::metricsRegistry().counter("gws.part.cut_edges").add(3);
+    obs::metricsRegistry().counter("gws.trace.dropped_spans").add(12);
     writeFile(metricsPath, obs::metricsRegistry().toJson());
     obs::metricsRegistry().resetPrefix("gws.part.");
+    obs::metricsRegistry().resetPrefix("gws.trace.");
 
     ReportInputs inputs;
     inputs.tracePath = tracePath;
@@ -577,23 +531,11 @@ TEST(ReportPage, OfflineModelRendersAllPanelsSelfContained)
     EXPECT_NE(html.find("runtime.chunk"), std::string::npos);
     EXPECT_NE(html.find("improvement vs scale"), std::string::npos);
     EXPECT_NE(html.find("kmeans"), std::string::npos);
-}
-
-TEST(ReportPage, LiveModelRendersSamePanelShape)
-{
-    std::vector<obs::MetricSnapshot> snapshot(1);
-    snapshot[0].name = "gws.serve.uptime_seconds";
-    snapshot[0].type = obs::MetricType::Gauge;
-    snapshot[0].gaugeValue = 12.0;
-    const MetricsData metrics =
-        readMetricsText(obs::metricsPrometheusText(snapshot));
-
-    const ReportModel model =
-        buildLiveReportModel(metrics, "unix:/tmp/gws.sock");
-    EXPECT_TRUE(model.live);
-    const std::string html = renderReportHtml(model);
-    expectSelfContained(html);
-    EXPECT_NE(html.find("unix:/tmp/gws.sock"), std::string::npos);
+    const std::size_t meta = html.find("<section id=\"panel-meta\"");
+    EXPECT_LT(html.find("<b>12</b><small>trace spans dropped "
+                        "(gws.trace.dropped_spans)",
+                        meta),
+              html.find("</section>", meta));
 }
 
 TEST(ReportPage, WriteIsAtomicAndLeavesNoTempFile)
