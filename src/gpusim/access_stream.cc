@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/divisor.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -34,16 +35,26 @@ runTextureStream(const StreamParams &params, const CacheConfig &l1_config,
 
     // Set-sample: shrink footprint and caches together so the
     // footprint-to-capacity ratio of the full stream is preserved.
-    const std::uint64_t footprint = std::max<std::uint64_t>(
+    const Divisor footprint(std::max<std::uint64_t>(
         static_cast<std::uint64_t>(
             std::llround(static_cast<double>(params.footprintBytes) /
                          scale)),
-        l1_config.lineBytes);
-    Cache l1(scale > 1.0 ? l1_config.scaledDown(scale) : l1_config);
-    Cache l2(scale > 1.0 ? l2_config.scaledDown(scale) : l2_config);
+        l1_config.lineBytes));
+    // One cache pair per thread, reset before every stream: each
+    // stream starts from empty caches, and a thread allocates only
+    // when it meets a larger geometry than it has held.
+    thread_local Cache l1(l1_config);
+    thread_local Cache l2(l2_config);
+    l1.reset(scale > 1.0 ? l1_config.scaledDown(scale) : l1_config);
+    l2.reset(scale > 1.0 ? l2_config.scaledDown(scale) : l2_config);
+    // The line size is a power of two, so the local window of two
+    // lines is a mask.
+    const std::uint64_t window_mask =
+        2 * std::uint64_t{l1_config.lineBytes} - 1;
+    const std::uint64_t creep = l1_config.lineBytes / 4;
 
     SplitMix64 rng(params.seed);
-    std::uint64_t cursor = rng.next() % footprint;
+    std::uint64_t cursor = footprint.remainder(rng.next());
     std::uint64_t l1_hits = 0;
     std::uint64_t l2_accesses = 0;
     std::uint64_t l2_hits = 0;
@@ -57,13 +68,12 @@ runTextureStream(const StreamParams &params, const CacheConfig &l1_config,
             // Local access: stay within a small window around the
             // cursor (mostly same or adjacent line) and creep forward,
             // emulating rasterization order walking texel space.
-            const std::uint64_t window = 2 * l1.config().lineBytes;
-            addr = (cursor + (r % window)) % footprint;
-            cursor = (cursor + l1.config().lineBytes / 4) % footprint;
+            addr = footprint.remainder(cursor + (r & window_mask));
+            cursor = footprint.remainder(cursor + creep);
         } else {
             // Non-local access: jump anywhere in the footprint
             // (mip transitions, dependent reads, atlas jumps).
-            addr = r % footprint;
+            addr = footprint.remainder(r);
             cursor = addr;
         }
         if (l1.access(addr)) {

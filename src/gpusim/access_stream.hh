@@ -11,6 +11,10 @@
  * cost it has inside its frame — the property that makes subset
  * simulation sound.
  *
+ * Every stream starts from empty caches: each thread keeps one L1/L2
+ * pair and resets it (Cache::reset) before each stream, so no state
+ * leaks from one draw's stream into the next.
+ *
  * Long streams are set-sampled: at most maxSamples accesses are
  * simulated against caches scaled down by the same factor, which
  * preserves footprint-to-capacity ratios.

@@ -1,6 +1,7 @@
 #include "gpusim/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -40,23 +41,38 @@ CacheStats::hitRate() const
 }
 
 Cache::Cache(const CacheConfig &config)
-    : geometry(config), numSets(config.sets()),
-      lines(numSets * config.ways)
 {
-    GWS_ASSERT((geometry.lineBytes & (geometry.lineBytes - 1)) == 0,
-               "line size must be a power of two: ", geometry.lineBytes);
+    reset(config);
+}
+
+void
+Cache::reset(const CacheConfig &config)
+{
+    GWS_ASSERT((config.lineBytes & (config.lineBytes - 1)) == 0,
+               "line size must be a power of two: ", config.lineBytes);
+    const std::uint64_t sets = config.sets();
+    geometry = config;
+    lineShift = std::countr_zero(config.lineBytes);
+    numSets = Divisor(sets);
+    // New lines carry stamp 0 and every epoch is >= 1, so they start
+    // invalid; lines left from earlier epochs are invalid too.
+    if (lines.size() < sets * config.ways)
+        lines.resize(sets * config.ways);
+    ++epoch;
+    useCounter = 0;
+    statistics = CacheStats{};
 }
 
 std::uint64_t
 Cache::setIndex(std::uint64_t address) const
 {
-    return (address / geometry.lineBytes) % numSets;
+    return numSets.remainder(address >> lineShift);
 }
 
 std::uint64_t
 Cache::tagOf(std::uint64_t address) const
 {
-    return (address / geometry.lineBytes) / numSets;
+    return numSets.quotient(address >> lineShift);
 }
 
 bool
@@ -71,18 +87,20 @@ Cache::access(std::uint64_t address)
     Line *victim = base;
     for (std::uint32_t w = 0; w < geometry.ways; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
+        const bool valid = line.stamp == epoch;
+        if (valid && line.tag == tag) {
             line.lastUse = useCounter;
             ++statistics.hits;
             return true;
         }
-        if (!line.valid) {
+        if (!valid) {
             victim = &line; // prefer an invalid way
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
+        } else if (victim->stamp == epoch &&
+                   line.lastUse < victim->lastUse) {
             victim = &line;
         }
     }
-    victim->valid = true;
+    victim->stamp = epoch;
     victim->tag = tag;
     victim->lastUse = useCounter;
     return false;
@@ -95,18 +113,10 @@ Cache::probe(std::uint64_t address) const
     const std::uint64_t tag = tagOf(address);
     const Line *base = &lines[set * geometry.ways];
     for (std::uint32_t w = 0; w < geometry.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].stamp == epoch && base[w].tag == tag)
             return true;
     }
     return false;
-}
-
-void
-Cache::reset()
-{
-    std::fill(lines.begin(), lines.end(), Line{});
-    useCounter = 0;
-    statistics = CacheStats{};
 }
 
 } // namespace gws

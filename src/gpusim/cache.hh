@@ -4,6 +4,13 @@
  * texture L1 and the GPU L2. The model is functional at line
  * granularity (tags only, no data) and collects hit/miss statistics;
  * timing is derived by the memory system from the statistics.
+ *
+ * A cache is reusable: reset(config) empties it and adopts a new
+ * geometry in O(1) by bumping a generation counter (a line is valid
+ * only while its stamp equals the cache's epoch). The line array only
+ * ever grows, to the largest geometry the cache has held, so a caller
+ * that resets one cache per short access stream pays neither an
+ * allocation nor a clear per stream.
  */
 
 #ifndef GWS_GPUSIM_CACHE_HH
@@ -11,6 +18,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "util/divisor.hh"
 
 namespace gws {
 
@@ -75,8 +84,12 @@ class Cache
     /** Statistics so far. */
     const CacheStats &stats() const { return statistics; }
 
-    /** Drop all lines and reset statistics. */
-    void reset();
+    /**
+     * Drop all lines, reset statistics and adopt the given geometry.
+     * Grows the line array when the geometry needs more lines; never
+     * shrinks or clears it.
+     */
+    void reset(const CacheConfig &config);
 
     /** Geometry. */
     const CacheConfig &config() const { return geometry; }
@@ -86,15 +99,17 @@ class Cache
     {
         std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
-        bool valid = false;
+        std::uint64_t stamp = 0; // valid iff stamp == epoch
     };
 
     std::uint64_t setIndex(std::uint64_t address) const;
     std::uint64_t tagOf(std::uint64_t address) const;
 
     CacheConfig geometry;
-    std::uint64_t numSets;
-    std::vector<Line> lines; // numSets x ways, row-major
+    int lineShift = 0; // log2(lineBytes)
+    Divisor numSets{1};
+    std::vector<Line> lines; // >= sets x ways, row-major
+    std::uint64_t epoch = 0;
     std::uint64_t useCounter = 0;
     CacheStats statistics;
 };

@@ -4,6 +4,7 @@
 #include <bit>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "gpusim/gpu_simulator.hh"
 #include "util/env.hh"
@@ -55,10 +56,17 @@ struct KeyHash
 
 constexpr std::size_t numShards = 64;
 
+using WorkMap = std::unordered_map<DrawWorkKey, DrawWork, KeyHash>;
+
 struct Shard
 {
     std::mutex mutex;
-    std::unordered_map<DrawWorkKey, DrawWork, KeyHash> map;
+    WorkMap map;
+    // Nodes of flushed entries, reused by later inserts. Freed nodes
+    // would go back to the malloc arena of the thread that allocated
+    // them, out of reach of other threads' inserts, so resident memory
+    // would grow with the number of inserting threads.
+    std::vector<WorkMap::node_type> spare;
 };
 
 Shard &
@@ -80,13 +88,7 @@ struct ShardInit
 
 std::atomic<std::size_t> g_entries{0};
 
-std::size_t
-maxEntries()
-{
-    static const std::size_t cap =
-        envSize("GWS_DRAW_CACHE_ENTRIES", 256 * 1024);
-    return cap;
-}
+constexpr std::size_t shardCapacity = drawWorkCacheCapacity / numShards;
 
 } // namespace
 
@@ -172,12 +174,25 @@ drawWorkCacheLookup(const DrawWorkKey &key, DrawWork *out)
 void
 drawWorkCacheInsert(const DrawWorkKey &key, const DrawWork &work)
 {
-    if (g_entries.load(std::memory_order_relaxed) >= maxEntries())
-        return;
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.emplace(key, work).second)
-        g_entries.fetch_add(1, std::memory_order_relaxed);
+    if (shard.map.contains(key))
+        return;
+    if (shard.map.size() >= shardCapacity) {
+        g_entries.fetch_sub(shard.map.size(), std::memory_order_relaxed);
+        while (!shard.map.empty())
+            shard.spare.push_back(shard.map.extract(shard.map.begin()));
+    }
+    if (shard.spare.empty()) {
+        shard.map.emplace(key, work);
+    } else {
+        WorkMap::node_type node = std::move(shard.spare.back());
+        shard.spare.pop_back();
+        node.key() = key;
+        node.mapped() = work;
+        shard.map.insert(std::move(node));
+    }
+    g_entries.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t

@@ -19,10 +19,11 @@
  * extractions. Keys are 128-bit (two independently seeded mixes of
  * the same words); a collision needs ~2^64 distinct draws.
  *
- * Control: GWS_DRAW_CACHE=0 disables the cache; GWS_DRAW_CACHE_ENTRIES
- * caps its size (default 262144 entries, ~50 MB). When full the cache
- * stops inserting but keeps serving hits. Hit/miss totals feed the
- * runtime counters (`--runtime-stats`).
+ * The cache holds at most drawWorkCacheCapacity entries, 1/64 of them
+ * in each of its 64 shards; an insert that finds its shard full
+ * clears that shard first, so a working set larger than the cap keeps
+ * caching its recent draws. GWS_DRAW_CACHE=0 disables the cache.
+ * Hit/miss totals feed the runtime counters (`--runtime-stats`).
  */
 
 #ifndef GWS_GPUSIM_DRAW_WORK_CACHE_HH
@@ -65,10 +66,13 @@ DrawWorkKey drawWorkKey(const Trace &trace, const DrawCall &draw,
 /** True unless GWS_DRAW_CACHE=0 disabled the cache at startup. */
 bool drawWorkCacheEnabled();
 
+/** Most entries the cache holds at once. */
+constexpr std::size_t drawWorkCacheCapacity = 256 * 1024;
+
 /** Look up a memoized DrawWork; true and fills *out on a hit. */
 bool drawWorkCacheLookup(const DrawWorkKey &key, DrawWork *out);
 
-/** Memoize a freshly computed DrawWork (no-op when full/disabled). */
+/** Memoize a freshly computed DrawWork, flushing its shard if full. */
 void drawWorkCacheInsert(const DrawWorkKey &key, const DrawWork &work);
 
 /** Entries currently cached. */

@@ -91,7 +91,7 @@ TEST(Cache, ResetClearsLinesAndStats)
     Cache c(CacheConfig{1024, 64, 4});
     c.access(0);
     c.access(0);
-    c.reset();
+    c.reset(c.config());
     EXPECT_EQ(c.stats().accesses, 0u);
     EXPECT_FALSE(c.probe(0));
     EXPECT_FALSE(c.access(0)); // cold again
@@ -177,20 +177,30 @@ class CacheCrossCheck : public ::testing::TestWithParam<CrossCheckCase>
 TEST_P(CacheCrossCheck, MatchesReferenceOnRandomStream)
 {
     const auto &[config, locality] = GetParam();
+    // One cache reused across geometries: a larger one and a 1-set
+    // one first leave stale lines (from the same stream, so their
+    // tags collide) that must never hit after a reset.
     Cache dut(config);
-    ReferenceCache ref(config);
-    Rng rng(0xc0ffee);
-    std::uint64_t cursor = 0;
-    for (int i = 0; i < 20000; ++i) {
-        std::uint64_t addr;
-        if (rng.bernoulli(locality)) {
-            addr = cursor + rng.uniformInt(0, 127);
-        } else {
-            addr = rng.uniformInt(0, 1 << 20);
-            cursor = addr;
+    for (const CacheConfig &geometry :
+         {CacheConfig{4 << 20, 64, 16}, CacheConfig{1024, 64, 16},
+          config}) {
+        dut.reset(geometry);
+        ReferenceCache ref(geometry);
+        Rng rng(0xc0ffee);
+        std::uint64_t cursor = 0;
+        for (int i = 0; i < 20000; ++i) {
+            std::uint64_t addr;
+            if (rng.bernoulli(locality)) {
+                addr = cursor + rng.uniformInt(0, 127);
+            } else {
+                addr = rng.uniformInt(0, 1 << 20);
+                cursor = addr;
+            }
+            ASSERT_EQ(dut.access(addr), ref.access(addr))
+                << "diverged at access " << i << " addr " << addr
+                << " under " << geometry.sizeBytes << " B";
         }
-        ASSERT_EQ(dut.access(addr), ref.access(addr))
-            << "diverged at access " << i << " addr " << addr;
+        EXPECT_EQ(dut.stats().accesses, 20000u);
     }
 }
 

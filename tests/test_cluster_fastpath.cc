@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 
 #include "cluster/feature_matrix.hh"
@@ -354,6 +355,18 @@ cacheTrace()
     return GameGenerator(p).generate();
 }
 
+/** Exact (bitwise) equality of two trace costs. */
+void
+expectSameCost(const TraceCost &a, const TraceCost &b)
+{
+    EXPECT_EQ(a.totalNs, b.totalNs);
+    ASSERT_EQ(a.frames.size(), b.frames.size());
+    for (std::size_t f = 0; f < a.frames.size(); ++f) {
+        EXPECT_EQ(a.frames[f].totalNs, b.frames[f].totalNs);
+        EXPECT_EQ(a.frames[f].drawNs, b.frames[f].drawNs);
+    }
+}
+
 TEST(DrawWorkCache, HitsEqualFreshSimulation)
 {
     const Trace t = cacheTrace();
@@ -370,12 +383,7 @@ TEST(DrawWorkCache, HitsEqualFreshSimulation)
     // Second run is served by the cache…
     EXPECT_GT(after_memo.drawCacheHits, after_fresh.drawCacheHits);
     // …and is bit-identical to the fresh simulation.
-    EXPECT_EQ(fresh.totalNs, memo.totalNs);
-    ASSERT_EQ(fresh.frames.size(), memo.frames.size());
-    for (std::size_t f = 0; f < fresh.frames.size(); ++f) {
-        EXPECT_EQ(fresh.frames[f].totalNs, memo.frames[f].totalNs);
-        EXPECT_EQ(fresh.frames[f].drawNs, memo.frames[f].drawNs);
-    }
+    expectSameCost(fresh, memo);
 }
 
 TEST(DrawWorkCache, PerDrawCostsSurviveClearAndRefill)
@@ -395,6 +403,53 @@ TEST(DrawWorkCache, PerDrawCostsSurviveClearAndRefill)
     const DrawCost refilled = sim.simulateDraw(t, draw);
     EXPECT_EQ(cold.totalNs, refilled.totalNs);
     EXPECT_EQ(cold.stageNs, refilled.stageNs);
+}
+
+TEST(DrawWorkCache, FullShardsEvictInsteadOfDroppingInserts)
+{
+    const Trace t = cacheTrace();
+    const GpuSimulator sim(makeGpuPreset("baseline"));
+    drawWorkCacheClear();
+    const TraceCost fresh = sim.simulateTrace(t);
+
+    // More distinct keys than the cache holds, inserted from four
+    // threads, so shards fill and flush concurrently.
+    const auto syntheticKey = [](std::uint64_t i) {
+        return DrawWorkKey{SplitMix64(i).next(), i};
+    };
+    constexpr std::size_t inserts = 300000;
+    std::atomic<std::size_t> peak{0};
+    const RuntimeConfig base = runtimeConfig();
+    RuntimeConfig rc = base;
+    rc.threads = 4;
+    setRuntimeConfig(rc);
+    parallelFor(0, inserts, 0, [&](std::size_t i) {
+        DrawWork work;
+        work.vertices = static_cast<double>(i);
+        drawWorkCacheInsert(syntheticKey(i), work);
+        const std::size_t size = drawWorkCacheSize();
+        std::size_t seen = peak.load();
+        while (size > seen && !peak.compare_exchange_weak(seen, size)) {
+        }
+    });
+    setRuntimeConfig(base);
+    EXPECT_LE(peak.load(), drawWorkCacheCapacity);
+    EXPECT_GT(peak.load(), drawWorkCacheCapacity / 2);
+
+    // A full cache still takes new entries (by flushing a shard).
+    DrawWork last;
+    last.vertices = static_cast<double>(inserts);
+    drawWorkCacheInsert(syntheticKey(inserts), last);
+    EXPECT_LE(drawWorkCacheSize(), drawWorkCacheCapacity);
+    DrawWork found;
+    ASSERT_TRUE(drawWorkCacheLookup(syntheticKey(inserts), &found));
+    EXPECT_EQ(found.vertices, last.vertices);
+
+    // Pricing through the overflowing cache (misses flush shards, the
+    // second run mixes hits and misses) changes no bit.
+    expectSameCost(fresh, sim.simulateTrace(t));
+    expectSameCost(fresh, sim.simulateTrace(t));
+    drawWorkCacheClear();
 }
 
 TEST(DrawWorkCache, CapacityConfigsShareClockChangesOnly)

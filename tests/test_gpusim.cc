@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <thread>
 
 #include "gpusim/access_stream.hh"
 #include "gpusim/clock.hh"
@@ -167,6 +169,67 @@ TEST(AccessStream, TinyFootprintHitsAfterWarmup)
     const StreamResult r = runTextureStream(p, {16384, 64, 4},
                                             {1 << 20, 64, 16}, 4096);
     EXPECT_GT(r.l1HitRate, 0.95);
+}
+
+/** Exact bits of a double, so EXPECT_EQ pins values bit for bit. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST(AccessStream, ReusedCachesMatchPinnedResults)
+{
+    // Streams are priced from one L1/L2 pair per thread, reset before
+    // each stream. The expected values were computed when every
+    // stream still built fresh caches; the call order grows the
+    // thread's L2 (1 MiB -> 4 MiB), shrinks it to set-sampled minis
+    // and regrows it, so any state left by a previous stream shows.
+    const CacheConfig l1{16 * 1024, 64, 4};
+    const CacheConfig l2{1 << 20, 64, 16};
+    const CacheConfig l2_big{4 << 20, 64, 16};
+    StreamParams small; // unscaled: fewer accesses than samples
+    small.totalAccesses = 500;
+    small.footprintBytes = 96 * 1024;
+    small.locality = 0.6;
+    small.seed = 101;
+    StreamParams scaled; // set-sampled by 100000 / 512
+    scaled.totalAccesses = 100000;
+    scaled.footprintBytes = 8 << 20;
+    scaled.locality = 0.85;
+    scaled.seed = 202;
+
+    const auto expectSmall = [&](const CacheConfig &l2_config) {
+        const StreamResult r = runTextureStream(small, l1, l2_config, 512);
+        EXPECT_EQ(r.simulatedAccesses, 500u);
+        EXPECT_EQ(bits(r.scale), bits(1.0));
+        EXPECT_EQ(bits(r.l1HitRate), bits(0x1.45a1cac083127p-2));
+        EXPECT_EQ(bits(r.l2HitRate), bits(0x1.e0781e0781e08p-7));
+        EXPECT_EQ(bits(r.l1Misses), bits(0x1.55p+8));
+        EXPECT_EQ(bits(r.l2Misses), bits(0x1.5p+8));
+    };
+    const auto expectScaled = [&](const CacheConfig &l2_config,
+                                  double l2_hit_rate, double l2_misses) {
+        const StreamResult r = runTextureStream(scaled, l1, l2_config, 512);
+        EXPECT_EQ(r.simulatedAccesses, 512u);
+        EXPECT_EQ(bits(r.scale), bits(0x1.86ap+7));
+        EXPECT_EQ(bits(r.l1HitRate), bits(0x1.1p-1));
+        EXPECT_EQ(bits(r.l2HitRate), bits(l2_hit_rate));
+        EXPECT_EQ(bits(r.l1Misses), bits(0x1.6e36p+15));
+        EXPECT_EQ(bits(r.l2Misses), bits(l2_misses));
+    };
+    const auto sequence = [&] {
+        expectSmall(l2);
+        expectSmall(l2_big);
+        expectScaled(l2, 0x1.ccccccccccccdp-4, 0x1.45032p+15);
+        expectScaled(l2_big, 0x1.999999999999ap-3, 0x1.24f8p+15);
+        expectSmall(l2_big);
+        expectSmall(l2);
+    };
+    // A new thread starts without caches; this one has used them.
+    std::thread fresh(sequence);
+    fresh.join();
+    sequence();
 }
 
 TEST(AccessStream, MixSeedIsStable)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -14,6 +15,7 @@
 #include "obs/obs.hh"
 #include "util/args.hh"
 #include "util/codec.hh"
+#include "util/divisor.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -409,6 +411,41 @@ TEST(Strings, FormatHelpers)
 {
     EXPECT_EQ(formatDouble(1.2345, 2), "1.23");
     EXPECT_EQ(formatPercent(0.658, 1), "65.8%");
+}
+
+// --------------------------------------------------------------- divisor --
+
+TEST(Divisor, QuotientAndRemainderAreExact)
+{
+    constexpr std::uint64_t max = ~std::uint64_t{0};
+    const std::uint64_t divisors[] = {
+        1, 2, 3, 7, 64, (1ULL << 32) - 1, 1ULL << 32, (1ULL << 32) + 1,
+        // Above 2^63 ceil(log2 d) is 64: the magic number needs 2^64.
+        1ULL << 63, (1ULL << 63) + 1, max};
+    for (const std::uint64_t d : divisors) {
+        const Divisor div(d);
+        for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1},
+                                      d - 1, d, d + 1, max}) {
+            EXPECT_EQ(div.quotient(n), n / d) << n << " / " << d;
+            EXPECT_EQ(div.remainder(n), n % d) << n << " % " << d;
+        }
+    }
+
+    SplitMix64 rng(0xd1f150);
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t n = rng.next();
+        // Mix full-width divisors with small ones.
+        const std::uint64_t d =
+            std::max<std::uint64_t>(rng.next() >> (rng.next() % 64), 1);
+        const Divisor div(d);
+        ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
+        ASSERT_EQ(div.remainder(n), n % d) << n << " % " << d;
+    }
+}
+
+TEST(Divisor, ZeroDies)
+{
+    EXPECT_DEATH(Divisor(0), "division by zero");
 }
 
 // ----------------------------------------------------------------- table --
