@@ -11,14 +11,19 @@ namespace gws {
 
 namespace {
 
-/** A candidate merge in the priority queue (lazy deletion scheme). */
+/**
+ * A candidate merge in the priority queue (lazy deletion scheme).
+ * 24 bytes: the heap holds O(n^2) of them and every sift step moves
+ * one. A version counts the merges into one cluster, which is fewer
+ * than n, so point-index width suffices for both fields.
+ */
 struct Candidate
 {
     double distance2;
-    std::size_t a;
-    std::size_t b;
-    std::uint64_t versionA;
-    std::uint64_t versionB;
+    std::uint32_t a;
+    std::uint32_t b;
+    std::uint32_t versionA;
+    std::uint32_t versionB;
 
     bool
     operator>(const Candidate &other) const
@@ -26,6 +31,7 @@ struct Candidate
         return distance2 > other.distance2;
     }
 };
+static_assert(sizeof(Candidate) == 24);
 
 } // namespace
 
@@ -37,6 +43,8 @@ agglomerativeCluster(const std::vector<FeatureVector> &points,
     GWS_ASSERT(config.distanceThreshold >= 0.0, "negative threshold");
     ScopedRegion region("cluster.agglomerative");
     const std::size_t n = points.size();
+    GWS_ASSERT(n <= UINT32_MAX, "agglomerative on ", n,
+               " points; indices are 32-bit");
     const std::size_t target =
         config.targetK > 0 ? std::min(config.targetK, n) : 1;
     const double threshold2 =
@@ -49,7 +57,7 @@ agglomerativeCluster(const std::vector<FeatureVector> &points,
     std::vector<FeatureVector> centroids = points;
     std::vector<std::size_t> sizes(n, 1);
     std::vector<bool> alive(n, true);
-    std::vector<std::uint64_t> version(n, 0);
+    std::vector<std::uint32_t> version(n, 0);
     std::vector<std::size_t> parent(n);
     for (std::size_t i = 0; i < n; ++i)
         parent[i] = i;
@@ -57,16 +65,21 @@ agglomerativeCluster(const std::vector<FeatureVector> &points,
     // Seed the queue with all pairs. The SoA batch kernel computes
     // each row's distances contiguously (bit-identical to the scalar
     // pairwise path), leaving only the pushes at O(n^2 log n).
+    // Reserving the seed pairs up front skips the doubling
+    // reallocations, and their transient second copy, while the queue
+    // fills.
+    std::vector<Candidate> storage;
+    storage.reserve(n * (n - 1) / 2);
     std::priority_queue<Candidate, std::vector<Candidate>,
                         std::greater<Candidate>>
-        queue;
+        queue(std::greater<Candidate>{}, std::move(storage));
     const FeatureMatrix matrix(points);
     std::vector<double> dist(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; i < n; ++i) {
         if (i + 1 < n)
             matrix.squaredDistanceBatch(i + 1, n, points[i],
                                         dist.data() + i + 1);
-        for (std::size_t j = i + 1; j < n; ++j)
+        for (std::uint32_t j = i + 1; j < n; ++j)
             queue.push({dist[j], i, j, 0, 0});
     }
 
@@ -96,7 +109,7 @@ agglomerativeCluster(const std::vector<FeatureVector> &points,
         --clusters;
 
         // Fresh candidates from the merged cluster to all survivors.
-        for (std::size_t other = 0; other < n; ++other) {
+        for (std::uint32_t other = 0; other < n; ++other) {
             if (!alive[other] || other == c.a)
                 continue;
             queue.push({centroids[c.a].squaredDistance(centroids[other]),

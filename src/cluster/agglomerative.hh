@@ -9,7 +9,9 @@
  *
  * Complexity is O(n^2) space and roughly O(n^2 log n) time, which is
  * fine for per-frame draw counts but slower than the leader pass; it
- * serves the ablation studies and small-k scenarios.
+ * serves the ablation studies and small-k scenarios. The space is the
+ * merge heap: 24-byte candidates (32-bit indices and versions, so n
+ * must fit in 32 bits), with the n(n-1)/2 seed pairs reserved up front.
  */
 
 #ifndef GWS_CLUSTER_AGGLOMERATIVE_HH

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "cluster/feature_matrix.hh"
+#include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 
 namespace gws {
@@ -12,11 +13,32 @@ namespace gws {
 namespace {
 
 /**
+ * Rows per chunk of the k-NN scan. A row is a full n-point distance
+ * scan plus a selection (n is about 1,150 on a paper-size frame), far
+ * above the element cost the default grain is sized for.
+ */
+constexpr std::size_t knnRowGrain = 16;
+
+/** A held neighbor of the k-NN scan. */
+struct Neighbor
+{
+    double distance2;
+    std::uint32_t index;
+};
+
+/**
  * Symmetric k-NN similarity graph: each point contributes edges to
  * its `neighbors` nearest others (squared distances from the SoA
  * batch kernel, ties toward the lower index), weighted 1 / (1 + d²)
  * so near-duplicates bind tightly and far pairs barely matter.
  * buildGraph() symmetrizes and coalesces the union.
+ *
+ * Each row keeps its k nearest in one pass by bounded insertion,
+ * sorted by (distance, index). Candidates arrive in ascending index,
+ * so a newcomer sorts after every held entry at its distance: a
+ * strict < on distance is the whole comparison. The (distance, index)
+ * order is total, so the selection has one answer. Row i's edges land
+ * at [i k, (i + 1) k), so rows fan out and the list keeps row order.
  */
 PartGraph
 knnGraph(const std::vector<FeatureVector> &points, std::size_t neighbors)
@@ -25,29 +47,29 @@ knnGraph(const std::vector<FeatureVector> &points, std::size_t neighbors)
     const FeatureMatrix matrix(points);
     const std::size_t k = std::min(neighbors, n - 1);
 
-    std::vector<GraphEdge> edges;
-    edges.reserve(n * k);
-    std::vector<double> dist(n);
-    std::vector<std::uint32_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        matrix.squaredDistanceBatch(0, n, points[i], dist.data());
-        for (std::size_t j = 0; j < n; ++j)
-            order[j] = static_cast<std::uint32_t>(j);
-        order[i] = order[n - 1]; // drop self before the selection
-        std::partial_sort(order.begin(),
-                          order.begin() +
-                              static_cast<std::ptrdiff_t>(k),
-                          order.begin() +
-                              static_cast<std::ptrdiff_t>(n - 1),
-                          [&dist](std::uint32_t a, std::uint32_t b) {
-                              return dist[a] != dist[b]
-                                         ? dist[a] < dist[b]
-                                         : a < b;
-                          });
-        for (std::size_t j = 0; j < k; ++j)
-            edges.push_back({static_cast<std::uint32_t>(i), order[j],
-                             1.0 / (1.0 + dist[order[j]])});
-    }
+    std::vector<GraphEdge> edges(n * k);
+    parallelChunks(0, n, knnRowGrain, [&](std::size_t b, std::size_t e) {
+        std::vector<double> dist(n);
+        std::vector<Neighbor> nearest(k);
+        for (std::size_t i = b; i < e; ++i) {
+            matrix.squaredDistanceBatch(0, n, points[i], dist.data());
+            std::size_t held = 0;
+            for (std::uint32_t j = 0; j < n; ++j) {
+                const double d = dist[j];
+                if (j == i ||
+                    (held == k && (k == 0 || d >= nearest[k - 1].distance2)))
+                    continue;
+                std::size_t pos = held < k ? held++ : k - 1;
+                for (; pos > 0 && d < nearest[pos - 1].distance2; --pos)
+                    nearest[pos] = nearest[pos - 1];
+                nearest[pos] = {d, j};
+            }
+            GraphEdge *row = edges.data() + i * k;
+            for (std::size_t s = 0; s < k; ++s)
+                row[s] = {static_cast<std::uint32_t>(i), nearest[s].index,
+                          1.0 / (1.0 + nearest[s].distance2)};
+        }
+    });
     return buildGraph(std::vector<double>(n, 1.0), edges);
 }
 

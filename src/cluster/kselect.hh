@@ -3,6 +3,11 @@
  * SimPoint-style k selection: sweep k, score each clustering with the
  * BIC, and pick the smallest k whose score reaches a fraction of the
  * best score seen.
+ *
+ * The sweep runs its k values concurrently, one k-means run per chunk
+ * of a parallel map, largest k first. Runs share no state (each seeds
+ * from KMeansConfig::seed whatever its k), and the results are folded
+ * in ascending k, so the outcome is bit-identical at any thread count.
  */
 
 #ifndef GWS_CLUSTER_KSELECT_HH

@@ -108,9 +108,14 @@ runFanOut(const std::shared_ptr<FanOut> &fan)
         }
     }
 
-    for (std::size_t c = 0; c < fan->chunks; ++c)
-        if (fan->errors[c])
-            std::rethrow_exception(fan->errors[c]);
+    // Take the chunk exceptions out of the shared state before
+    // rethrowing: a late helper may still hold `fan` and drop the last
+    // reference to it after this call returns, and it must not be the
+    // thread that destroys the exception the caller is handling.
+    const std::vector<std::exception_ptr> errors = std::move(fan->errors);
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
 }
 
 } // namespace

@@ -16,7 +16,14 @@
  *
  * Small ranges (a single chunk), threads = 1, and loops entered from
  * inside a pool worker (nested parallelism) all run inline in the
- * calling thread with the same chunk structure.
+ * calling thread with the same chunk structure. A nested loop entered
+ * from the caller thread's own chunk is not on a pool worker, so it
+ * fans out again: its chunks go to workers that have finished their
+ * outer chunks. That rule stays on purpose. Running those loops inline
+ * as well saved about 1 s more per characterize pass in a prototype,
+ * but slowed validate by 5-11 % in 7 of 7 paired runs on a 4-vCPU VM:
+ * validate's outer loops have few, uneven chunks, and the caller's
+ * inner fan-out is what keeps the finished workers busy.
  *
  * Grain guidance: pass 0 to take RuntimeConfig::grainSize (right for
  * element costs in the ~100 ns..1 us range, e.g. feature-space

@@ -2,15 +2,19 @@
  * @file
  * Tests of the clustering library: the Clustering container, k-means
  * invariants (property-tested over sizes and seeds), leader
- * clustering, BIC scoring, k selection, and the quality metrics.
+ * clustering, BIC scoring, k selection, the tie order of the
+ * agglomerative and graph-partitioning families, and the quality
+ * metrics.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "cluster/agglomerative.hh"
 #include "cluster/bic.hh"
+#include "cluster/graph_partition.hh"
 #include "cluster/kmeans.hh"
 #include "cluster/kselect.hh"
 #include "cluster/leader.hh"
@@ -330,6 +334,94 @@ TEST(Agglomerative, MatchesKMeansQualityOnBlobs)
     const double ia = agglomerativeCluster(points, ac).inertia(points);
     const double ik = kmeans(points, kc).inertia(points);
     EXPECT_NEAR(ia, ik, ik * 0.05 + 1e-9);
+}
+
+// -------------------------------------------------------------- tie order --
+
+/**
+ * 300 points on a 5 x 4 x 3 lattice with spacings 0.5, 0.5 and 0.25,
+ * all exact in binary, so every distance is exact. Each of the 60
+ * sites holds five duplicates, and every site has lattice neighbours
+ * at exactly equal distances. Agglomerative's heap pops long runs of
+ * equal distances, and the k-NN scan of the graph-partitioning family
+ * breaks distance ties by index. Those are the two places where a
+ * faster rewrite could reorder a tie and pass every other test.
+ */
+std::vector<FeatureVector>
+tiedPoints()
+{
+    std::vector<FeatureVector> points;
+    for (std::size_t i = 0; i < 300; ++i) {
+        FeatureVector v;
+        v[FeatureDim::LogPixels] = 0.5 * static_cast<double>(i % 5);
+        v[FeatureDim::LogVertices] = 0.5 * static_cast<double>(i % 4);
+        v[FeatureDim::LogTexSamples] = 0.25 * static_cast<double>(i % 3);
+        points.push_back(v);
+    }
+    return points;
+}
+
+/** FNV-1a 64 over k, the assignment, representatives, centroid bits. */
+std::uint64_t
+clusteringDigest(const Clustering &c)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    const auto add = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    add(c.k);
+    for (std::uint32_t a : c.assignment)
+        add(a);
+    for (std::size_t r : c.representatives)
+        add(r);
+    for (const FeatureVector &v : c.centroids)
+        for (double x : v.raw())
+            add(std::bit_cast<std::uint64_t>(x));
+    return h;
+}
+
+// The golden k and digests below were computed with the heap of 40-byte
+// candidates and the partial_sort k-NN selection these families used
+// before their rewrites; the rewrites must reproduce them bit for bit.
+
+TEST(TieOrder, AgglomerativeThresholdMatchesGolden)
+{
+    const Clustering c =
+        agglomerativeCluster(tiedPoints(), AgglomerativeConfig{});
+    EXPECT_EQ(c.k, 4u);
+    EXPECT_EQ(clusteringDigest(c), 0x95e4a7cdadfe51c0ull);
+}
+
+TEST(TieOrder, AgglomerativeTargetKMatchesGolden)
+{
+    AgglomerativeConfig cfg;
+    cfg.targetK = 12;
+    const Clustering c = agglomerativeCluster(tiedPoints(), cfg);
+    EXPECT_EQ(c.k, 12u);
+    EXPECT_EQ(clusteringDigest(c), 0x965ea58225fb099eull);
+}
+
+TEST(TieOrder, GraphPartitionMatchesGolden)
+{
+    const Clustering c =
+        graphPartitionCluster(tiedPoints(), GraphPartitionConfig{});
+    EXPECT_EQ(c.k, 105u);
+    EXPECT_EQ(clusteringDigest(c), 0x4d35b026f291b76bull);
+}
+
+TEST(TieOrder, GraphPartitionFewNeighborsMatchesGolden)
+{
+    // Three neighbours out of four duplicates at distance 0: the
+    // selection keeps the three lowest indices.
+    GraphPartitionConfig cfg;
+    cfg.targetK = 70;
+    cfg.neighbors = 3;
+    const Clustering c = graphPartitionCluster(tiedPoints(), cfg);
+    EXPECT_EQ(c.k, 70u);
+    EXPECT_EQ(clusteringDigest(c), 0xc5d53ba3462a4b1aull);
 }
 
 // -------------------------------------------------------------------- BIC --

@@ -5,14 +5,22 @@
  * (trace simulation, k-means, the workload-subset pipeline) must
  * produce bit-identical floating-point results at threads = 1 and
  * threads = 8; any drift means a reduction started depending on
- * completion order.
+ * completion order. The k-selection sweep, agglomerative and
+ * graph-partitioning clustering must also give the same bits when
+ * called from inside a parallel chunk, where their own loops run
+ * inline on a pool worker or fan out again from the caller's chunk.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
+#include "cluster/agglomerative.hh"
+#include "cluster/graph_partition.hh"
 #include "cluster/kmeans.hh"
+#include "cluster/kselect.hh"
 #include "core/subset_pipeline.hh"
 #include "features/extractor.hh"
 #include "gpusim/gpu_simulator.hh"
@@ -30,6 +38,55 @@ testTrace()
         GameGenerator(builtinProfile("shock1", SuiteScale::Ci))
             .generate();
     return t;
+}
+
+/** Normalized features of the leading frames, the first `count`. */
+std::vector<FeatureVector>
+framePoints(std::size_t count)
+{
+    const Trace &trace = testTrace();
+    const FeatureExtractor extractor(trace);
+    std::vector<FeatureVector> raw;
+    for (std::size_t f = 0; f < trace.frameCount() && raw.size() < count;
+         ++f)
+        for (const FeatureVector &v : extractor.extractFrame(trace.frame(f)))
+            raw.push_back(v);
+    raw.resize(std::min(raw.size(), count));
+    return Normalizer::fit(raw).applyAll(raw);
+}
+
+/** Bit patterns of a double sequence, for exact comparison. */
+template <typename Range>
+std::vector<std::uint64_t>
+bitsOf(const Range &values)
+{
+    std::vector<std::uint64_t> out;
+    for (double v : values)
+        out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+}
+
+/** Two clusterings agree bit for bit. */
+void
+expectSameClustering(const Clustering &a, const Clustering &b)
+{
+    EXPECT_EQ(a.k, b.k);
+    EXPECT_EQ(a.assignment, b.assignment);
+    EXPECT_EQ(a.representatives, b.representatives);
+    ASSERT_EQ(a.centroids.size(), b.centroids.size());
+    for (std::size_t c = 0; c < a.centroids.size(); ++c)
+        ASSERT_EQ(bitsOf(a.centroids[c].raw()), bitsOf(b.centroids[c].raw()))
+            << "centroid " << c;
+}
+
+/** Two k-selection sweeps agree bit for bit. */
+void
+expectSameSweep(const KSelectResult &a, const KSelectResult &b)
+{
+    EXPECT_EQ(a.triedK, b.triedK);
+    EXPECT_EQ(bitsOf(a.bicByK), bitsOf(b.bicByK));
+    EXPECT_EQ(a.chosenK, b.chosenK);
+    expectSameClustering(a.clustering, b.clustering);
 }
 
 class DeterminismTest : public ::testing::Test
@@ -52,6 +109,30 @@ class DeterminismTest : public ::testing::Test
         cfg.threads = threads;
         setRuntimeConfig(cfg);
         return fn();
+    }
+
+    /**
+     * fn() at 1 thread (the reference), at 2 and 4 threads, and in
+     * every chunk of a 4-thread parallelMap; check(ref, other) holds
+     * for each.
+     */
+    template <typename Fn, typename Check>
+    void
+    expectThreadInvariant(Fn &&fn, Check &&check)
+    {
+        const auto ref = at(1, fn);
+        for (std::size_t threads : {2, 4}) {
+            SCOPED_TRACE(testing::Message() << threads << " threads");
+            check(ref, at(threads, fn));
+        }
+        const auto nested = at(4, [&] {
+            return parallelMap<decltype(fn())>(
+                0, 4, 1, [&](std::size_t) { return fn(); });
+        });
+        for (std::size_t c = 0; c < nested.size(); ++c) {
+            SCOPED_TRACE(testing::Message() << "parallelMap chunk " << c);
+            check(ref, nested[c]);
+        }
     }
 
     RuntimeConfig saved;
@@ -144,6 +225,60 @@ TEST_F(DeterminismTest, SubsetPipelineIsBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(ea.parentNs, eb.parentNs);
     EXPECT_EQ(ea.predictedNs, eb.predictedNs);
     EXPECT_EQ(ea.relError(), eb.relError());
+}
+
+TEST_F(DeterminismTest, SelectKIsBitIdenticalAcrossThreadCounts)
+{
+    // Enough points that each k-means run's own loops split into
+    // several chunks; the small set makes maxK exceed n.
+    const std::vector<FeatureVector> many = framePoints(600);
+    const std::vector<FeatureVector> few = framePoints(40);
+    ASSERT_EQ(many.size(), 600u);
+    struct Case
+    {
+        const std::vector<FeatureVector> *points;
+        std::size_t maxK;
+        std::size_t step;
+    };
+    for (const Case &c : {Case{&many, 12, 1}, Case{&many, 40, 3},
+                          Case{&few, 64, 1}, Case{&few, 64, 3}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << c.points->size() << " maxK=" << c.maxK
+                     << " step=" << c.step);
+        KSelectConfig cfg;
+        cfg.maxK = c.maxK;
+        cfg.step = c.step;
+        expectThreadInvariant(
+            [&] { return selectK(*c.points, cfg); }, expectSameSweep);
+    }
+}
+
+TEST_F(DeterminismTest, AgglomerativeIsBitIdenticalAcrossThreadCounts)
+{
+    const std::vector<FeatureVector> points = framePoints(500);
+    AgglomerativeConfig threshold;
+    AgglomerativeConfig target;
+    target.targetK = 25;
+    for (const AgglomerativeConfig &cfg : {threshold, target}) {
+        SCOPED_TRACE(testing::Message() << "targetK=" << cfg.targetK);
+        expectThreadInvariant(
+            [&] { return agglomerativeCluster(points, cfg); },
+            expectSameClustering);
+    }
+}
+
+TEST_F(DeterminismTest, GraphPartitionIsBitIdenticalAcrossThreadCounts)
+{
+    const std::vector<FeatureVector> points = framePoints(600);
+    GraphPartitionConfig efficiency;
+    GraphPartitionConfig target;
+    target.targetK = 20;
+    for (const GraphPartitionConfig &cfg : {efficiency, target}) {
+        SCOPED_TRACE(testing::Message() << "targetK=" << cfg.targetK);
+        expectThreadInvariant(
+            [&] { return graphPartitionCluster(points, cfg); },
+            expectSameClustering);
+    }
 }
 
 } // namespace

@@ -214,7 +214,7 @@ TEST(MultilevelPartitionTest, GeneralGraphPartsNonEmptyEveryCostFn)
     // Two dense blobs joined by one weak edge; any sane objective
     // should keep each part non-empty and most of each blob together.
     std::vector<GraphEdge> edges;
-    const std::size_t half = 20;
+    const std::uint32_t half = 20;
     for (std::uint32_t i = 0; i < half; ++i)
         for (std::uint32_t j = i + 1; j < half; ++j) {
             edges.push_back({i, j, 4.0});

@@ -336,8 +336,9 @@ TEST_F(SweepTest, TextureBindMemoIsTransparent)
     EXPECT_EQ(first.texDramBytes, second.texDramBytes);
     EXPECT_EQ(first.vertexDramBytes, second.vertexDramBytes);
     EXPECT_EQ(first.rtDramBytes, second.rtDramBytes);
-    if (first.texSamples > 0)
+    if (first.texSamples > 0) {
         EXPECT_GT(runtimeCounters().texBindHits, hits_before);
+    }
 }
 
 TEST_F(SweepTest, TextureEpochAdvancesOnTableEdit)
