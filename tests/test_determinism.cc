@@ -9,12 +9,15 @@
  * graph-partitioning clustering must also give the same bits when
  * called from inside a parallel chunk, where their own loops run
  * inline on a pool worker or fan out again from the caller's chunk.
+ * Texture streams keep per-thread caches and a per-thread synthesis
+ * block, so every stream must give the same bits on any thread.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <thread>
 #include <vector>
 
 #include "cluster/agglomerative.hh"
@@ -25,6 +28,7 @@
 #include "features/extractor.hh"
 #include "gpusim/gpu_simulator.hh"
 #include "runtime/runtime.hh"
+#include "stream_reference.hh"
 #include "synth/generator.hh"
 
 namespace gws {
@@ -278,6 +282,47 @@ TEST_F(DeterminismTest, GraphPartitionIsBitIdenticalAcrossThreadCounts)
         expectThreadInvariant(
             [&] { return graphPartitionCluster(points, cfg); },
             expectSameClustering);
+    }
+}
+
+TEST_F(DeterminismTest, TextureStreamsAreBitIdenticalOnEveryThread)
+{
+    const std::vector<StreamCase> grid = pinnedStreamGrid();
+    const auto stream = [&](std::size_t i) {
+        const StreamCase &c = grid[i];
+        return runTextureStream(c.params, c.l1, c.l2, c.maxSamples);
+    };
+    std::vector<StreamResult> ref;
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        ref.push_back(stream(i));
+    const auto expectSame = [&](const std::vector<StreamResult> &got) {
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            SCOPED_TRACE(testing::Message() << "stream " << i);
+            EXPECT_EQ(got[i].simulatedAccesses, ref[i].simulatedAccesses);
+            EXPECT_EQ(bitsOf(std::vector<double>{
+                          got[i].scale, got[i].l1HitRate, got[i].l2HitRate,
+                          got[i].l1Misses, got[i].l2Misses}),
+                      bitsOf(std::vector<double>{
+                          ref[i].scale, ref[i].l1HitRate, ref[i].l2HitRate,
+                          ref[i].l1Misses, ref[i].l2Misses}));
+        }
+    };
+    {
+        SCOPED_TRACE("4-thread parallelMap");
+        expectSame(at(4, [&] {
+            return parallelMap<StreamResult>(0, grid.size(), 64, stream);
+        }));
+    }
+    {
+        SCOPED_TRACE("thread that has run no stream");
+        std::vector<StreamResult> fresh;
+        std::thread t([&] {
+            for (std::size_t i = 0; i < grid.size(); ++i)
+                fresh.push_back(stream(i));
+        });
+        t.join();
+        expectSame(fresh);
     }
 }
 

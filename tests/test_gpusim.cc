@@ -11,12 +11,15 @@
 #include <bit>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "gpusim/access_stream.hh"
 #include "gpusim/clock.hh"
 #include "gpusim/gpu_simulator.hh"
 #include "gpusim/report.hh"
+#include "stream_reference.hh"
 #include "synth/generator.hh"
+#include "util/rng.hh"
 
 namespace gws {
 namespace {
@@ -230,6 +233,67 @@ TEST(AccessStream, ReusedCachesMatchPinnedResults)
     std::thread fresh(sequence);
     fresh.join();
     sequence();
+}
+
+TEST(AccessStream, PinnedGridDigest)
+{
+    // The digest was computed with the one-access-at-a-time stream
+    // loop; every field of every result of the grid keeps its bits.
+    std::vector<StreamResult> results;
+    for (const StreamCase &c : pinnedStreamGrid())
+        results.push_back(
+            runTextureStream(c.params, c.l1, c.l2, c.maxSamples));
+    EXPECT_EQ(results.size(), 26880u);
+    EXPECT_EQ(streamDigest(results), 0xd4258f47069e7750ULL);
+}
+
+TEST(AccessStream, MatchesReferenceLoopOnRandomStreams)
+{
+    const auto geometry = [](Rng &rng, std::uint32_t line,
+                             std::uint64_t max_sets) {
+        CacheConfig c;
+        c.lineBytes = line;
+        c.ways = static_cast<std::uint32_t>(rng.uniformInt(1, 16));
+        const auto sets = static_cast<std::uint64_t>(
+            rng.uniformInt(1, static_cast<std::int64_t>(max_sets)));
+        // Some sizes are not a whole number of sets.
+        c.sizeBytes = sets * c.ways * line +
+                      static_cast<std::uint64_t>(rng.uniformInt(0, line));
+        return c;
+    };
+    const auto logUniform = [](Rng &rng, int max_log2) {
+        return static_cast<std::uint64_t>(
+            std::exp2(rng.uniform(0.0, static_cast<double>(max_log2))));
+    };
+    Rng rng(0x5eed);
+    for (int i = 0; i < 2000; ++i) {
+        const std::uint32_t lines[] = {1, 4, 16, 32, 64, 128};
+        const CacheConfig l1 =
+            geometry(rng, lines[rng.uniformInt(0, 5)], 512);
+        const CacheConfig l2 =
+            geometry(rng, lines[rng.uniformInt(2, 5)], 8192);
+        const std::uint64_t caps[] = {1,   16,   50,   100,  512, 1000,
+                                      1023, 1024, 1025, 2048, 5000};
+        const std::uint64_t cap = caps[rng.uniformInt(0, 10)];
+        StreamParams p;
+        p.totalAccesses = logUniform(rng, 40);
+        p.footprintBytes = logUniform(rng, 62);
+        const int knob = static_cast<int>(rng.uniformInt(0, 3));
+        p.locality = knob == 0 ? 0.0 : knob == 1 ? 1.0 : rng.uniform();
+        p.seed = rng.nextU64();
+        const StreamResult want = referenceTextureStream(p, l1, l2, cap);
+        const StreamResult got = runTextureStream(p, l1, l2, cap);
+        SCOPED_TRACE(testing::Message()
+                     << "stream " << i << ": " << p.totalAccesses
+                     << " accesses, footprint " << p.footprintBytes
+                     << ", cap " << cap);
+        ASSERT_EQ(got.simulatedAccesses, want.simulatedAccesses);
+        ASSERT_EQ(bits(got.scale), bits(want.scale));
+        ASSERT_EQ(bits(got.l1HitRate), bits(want.l1HitRate));
+        ASSERT_EQ(bits(got.l2HitRate), bits(want.l2HitRate));
+        ASSERT_EQ(bits(got.l1Misses), bits(want.l1Misses));
+        ASSERT_EQ(bits(got.l2Misses), bits(want.l2Misses));
+    }
 }
 
 TEST(AccessStream, MixSeedIsStable)
