@@ -15,6 +15,14 @@
  * pair and resets it (Cache::reset) before each stream, so no state
  * leaks from one draw's stream into the next.
  *
+ * A stream runs in blocks of a fixed number of accesses, each in three
+ * passes over one per-thread address block: synthesize the addresses,
+ * run them through the L1 while keeping the misses at the block's
+ * front, then replay those misses through the L2. No branch depends
+ * on the local-vs-jump draw or on a hit or miss, which a branch
+ * predictor cannot learn. The L2 sees the same L1-miss sequence as an
+ * access-by-access walk, so the result is that walk's bit for bit.
+ *
  * Long streams are set-sampled: at most maxSamples accesses are
  * simulated against caches scaled down by the same factor, which
  * preserves footprint-to-capacity ratios.

@@ -53,70 +53,27 @@ Cache::reset(const CacheConfig &config)
     const std::uint64_t sets = config.sets();
     geometry = config;
     lineShift = std::countr_zero(config.lineBytes);
+    setCount = sets;
     numSets = Divisor(sets);
-    // New lines carry stamp 0 and every epoch is >= 1, so they start
-    // invalid; lines left from earlier epochs are invalid too.
-    if (lines.size() < sets * config.ways)
-        lines.resize(sets * config.ways);
+    // New stamps are 0 and every epoch is >= 1, so new sets start
+    // empty; sets stamped in earlier epochs are empty too.
+    if (tagArray.size() < sets * config.ways)
+        tagArray.resize(sets * config.ways);
+    if (setStamp.size() < sets)
+        setStamp.resize(sets);
     ++epoch;
-    useCounter = 0;
     statistics = CacheStats{};
-}
-
-std::uint64_t
-Cache::setIndex(std::uint64_t address) const
-{
-    return numSets.remainder(address >> lineShift);
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t address) const
-{
-    return numSets.quotient(address >> lineShift);
-}
-
-bool
-Cache::access(std::uint64_t address)
-{
-    ++statistics.accesses;
-    ++useCounter;
-    const std::uint64_t set = setIndex(address);
-    const std::uint64_t tag = tagOf(address);
-    Line *base = &lines[set * geometry.ways];
-
-    Line *victim = base;
-    for (std::uint32_t w = 0; w < geometry.ways; ++w) {
-        Line &line = base[w];
-        const bool valid = line.stamp == epoch;
-        if (valid && line.tag == tag) {
-            line.lastUse = useCounter;
-            ++statistics.hits;
-            return true;
-        }
-        if (!valid) {
-            victim = &line; // prefer an invalid way
-        } else if (victim->stamp == epoch &&
-                   line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
-    }
-    victim->stamp = epoch;
-    victim->tag = tag;
-    victim->lastUse = useCounter;
-    return false;
 }
 
 bool
 Cache::probe(std::uint64_t address) const
 {
-    const std::uint64_t set = setIndex(address);
-    const std::uint64_t tag = tagOf(address);
-    const Line *base = &lines[set * geometry.ways];
-    for (std::uint32_t w = 0; w < geometry.ways; ++w) {
-        if (base[w].stamp == epoch && base[w].tag == tag)
-            return true;
-    }
-    return false;
+    const std::uint64_t line = address >> lineShift;
+    const std::uint64_t tag = numSets.quotient(line);
+    const std::uint64_t set = line - tag * setCount;
+    const std::uint64_t *const tags = &tagArray[set * geometry.ways];
+    return setStamp[set] == epoch &&
+           std::find(tags, tags + geometry.ways, tag) != tags + geometry.ways;
 }
 
 } // namespace gws

@@ -5,10 +5,29 @@
  * granularity (tags only, no data) and collects hit/miss statistics;
  * timing is derived by the memory system from the statistics.
  *
+ * Each set keeps its tags in recency order, most recent first. An
+ * access scans the set once with no branch on the tags: every way up
+ * to the first one that holds the tag takes the tag of the way ahead
+ * of it (the first way takes the accessed tag), and the ways behind
+ * keep theirs. So a hit moves its tag to the front, and a miss slides
+ * the whole set down and drops the last way, the LRU line.
+ *
+ * A set has no empty ways, because no tag value can mark one (with
+ * 1-byte lines and one set every 64-bit value is a tag). On its first
+ * touch after a reset, a miss, every way of the set takes the missing
+ * tag. The copies sit behind the first way, and the scan stops at the
+ * first way that holds a tag, so a copy never decides an access; a
+ * miss drops the last copy, which is what filling an empty way does.
+ * The hit/miss sequence is that of LRU filling empty ways first.
+ *
+ * access() is in this header so that it inlines into the
+ * texture-stream passes. The presets' 4-way L1 and 16-way L2 run an
+ * instantiation of the same code with the ways fixed at compile time.
+ *
  * A cache is reusable: reset(config) empties it and adopts a new
- * geometry in O(1) by bumping a generation counter (a line is valid
- * only while its stamp equals the cache's epoch). The line array only
- * ever grows, to the largest geometry the cache has held, so a caller
+ * geometry in O(1) by bumping an epoch; a set whose stamp is not the
+ * epoch is refilled on its first touch. The tag and stamp arrays only
+ * ever grow, to the largest geometry the cache has held, so a caller
  * that resets one cache per short access stream pays neither an
  * allocation nor a clear per stream.
  */
@@ -17,6 +36,7 @@
 #define GWS_GPUSIM_CACHE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/divisor.hh"
@@ -76,7 +96,18 @@ class Cache
      * Access one byte address; returns true on hit. On miss the line
      * is filled, evicting the set's LRU line if needed.
      */
-    bool access(std::uint64_t address);
+    [[gnu::always_inline]] bool
+    access(std::uint64_t address)
+    {
+        switch (geometry.ways) {
+        case 4:
+            return accessWays<4>(address);
+        case 16:
+            return accessWays<16>(address);
+        default:
+            return accessWays<0>(address);
+        }
+    }
 
     /** True if the line holding address is resident (no side effect). */
     bool probe(std::uint64_t address) const;
@@ -86,8 +117,8 @@ class Cache
 
     /**
      * Drop all lines, reset statistics and adopt the given geometry.
-     * Grows the line array when the geometry needs more lines; never
-     * shrinks or clears it.
+     * Grows the tag and stamp arrays when the geometry needs more;
+     * never shrinks or clears them.
      */
     void reset(const CacheConfig &config);
 
@@ -95,22 +126,57 @@ class Cache
     const CacheConfig &config() const { return geometry; }
 
   private:
-    struct Line
+    /** access() with Ways ways, or geometry.ways when Ways is 0. */
+    template <std::uint32_t Ways>
+    [[gnu::always_inline]] bool
+    accessWays(std::uint64_t address)
     {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        std::uint64_t stamp = 0; // valid iff stamp == epoch
-    };
+        const std::uint64_t ways = Ways ? Ways : geometry.ways;
+        const std::uint64_t line = address >> lineShift;
+        const std::uint64_t tag = numSets.quotient(line);
+        const std::uint64_t set = line - tag * setCount;
+        std::uint64_t *const tags = &tagArray[set * ways];
+        ++statistics.accesses;
+        if (setStamp[set] != epoch) {
+            setStamp[set] = epoch;
+            forEachWay<Ways>(ways, [&](std::uint64_t w) { tags[w] = tag; });
+            return false;
+        }
+        // All ones from the first way that holds the tag on.
+        std::uint64_t seen = 0;
+        std::uint64_t carry = tag;
+        forEachWay<Ways>(ways, [&](std::uint64_t w) {
+            const std::uint64_t held = tags[w];
+            tags[w] = (held & seen) | (carry & ~seen);
+            seen |= 0 - std::uint64_t{held == tag};
+            carry = held;
+        });
+        statistics.hits += seen & 1;
+        return seen != 0;
+    }
 
-    std::uint64_t setIndex(std::uint64_t address) const;
-    std::uint64_t tagOf(std::uint64_t address) const;
+    /** body(w) for w in [0, ways), unrolled when Ways fixes ways. */
+    template <std::uint32_t Ways, typename Body>
+    [[gnu::always_inline]] static void
+    forEachWay(std::uint64_t ways, Body &&body)
+    {
+        if constexpr (Ways == 0) {
+            for (std::uint64_t w = 0; w < ways; ++w)
+                body(w);
+        } else {
+            [&]<std::size_t... W>(std::index_sequence<W...>) {
+                (body(std::uint64_t{W}), ...);
+            }(std::make_index_sequence<Ways>{});
+        }
+    }
 
     CacheConfig geometry;
     int lineShift = 0; // log2(lineBytes)
+    std::uint64_t setCount = 1;
     Divisor numSets{1};
-    std::vector<Line> lines; // >= sets x ways, row-major
+    std::vector<std::uint64_t> tagArray; // >= sets x ways, row-major
+    std::vector<std::uint64_t> setStamp; // set filled iff stamp == epoch
     std::uint64_t epoch = 0;
-    std::uint64_t useCounter = 0;
     CacheStats statistics;
 };
 
