@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "features/pca.hh"
-#include "gpusim/streaming_work_trace.hh"
 #include "obs/obs.hh"
 #include "partition/shards.hh"
 #include "report/report.hh"
@@ -101,9 +100,6 @@ addThreadsOption(ArgParser &args)
                    "write a self-contained HTML dashboard built from "
                    "the --trace-out / --metrics-out artifacts and "
                    "results/ to this file");
-    args.addInt("mem-budget", 0,
-                "out-of-core memory budget in MiB for streamed sweeps "
-                "(0 = GWS_MEM_BUDGET or the 256 MiB default)");
     args.addString("partition-cost", "",
                    "shard-balancing cost function: balanced, "
                    "critical_path, greedy, or minmax (default from "
@@ -139,10 +135,6 @@ applyThreadsOption(const ArgParser &args)
     const std::string metrics_out = args.getString("metrics-out");
     if (!metrics_out.empty())
         obs::setMetricsOutputPath(metrics_out);
-
-    const std::int64_t budget_mib = args.getInt("mem-budget");
-    if (budget_mib > 0)
-        setMemBudgetBytes(static_cast<std::size_t>(budget_mib) << 20);
 
     const std::string partition_cost = args.getString("partition-cost");
     if (!partition_cost.empty()) {

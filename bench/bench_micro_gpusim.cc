@@ -51,15 +51,25 @@ BENCHMARK(BM_CacheAccess);
 void
 BM_TextureStream(benchmark::State &state)
 {
-    StreamParams p;
-    p.totalAccesses = 100000;
-    p.footprintBytes = 4 << 20;
-    p.locality = 0.85;
-    p.seed = 42;
+    // Cycle through a fixed pool of streams with distinct seeds: one
+    // stream replayed every iteration lets the branch predictor learn
+    // its per-access branches, which real draws never repeat.
+    std::vector<StreamParams> pool(1024);
+    Rng rng(42);
+    for (StreamParams &p : pool) {
+        p.totalAccesses = 100000;
+        p.footprintBytes = 4 << 20;
+        p.locality = 0.85;
+        p.seed = rng.nextU64();
+    }
     const CacheConfig l1{16 * 1024, 64, 4}, l2{1 << 20, 64, 16};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runTextureStream(
-            p, l1, l2, static_cast<std::uint64_t>(state.range(0))));
+    const auto max_samples = static_cast<std::uint64_t>(state.range(0));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            runTextureStream(pool[i], l1, l2, max_samples));
+        i = (i + 1) % pool.size();
+    }
 }
 BENCHMARK(BM_TextureStream)->Arg(128)->Arg(512)->Arg(2048);
 

@@ -26,10 +26,8 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
 
     // --- compute once: flatten parent and subset work ---------------------
     // DRAM traffic is clock-independent, so both totals come straight
-    // off the DRAM column (parent: every draw in row order — carried
-    // across chunk boundaries on the streamed path, hence the same
-    // addition chain; subset: representative traffic expanded like
-    // costs).
+    // off the DRAM column (parent: every draw in row order; subset:
+    // representative traffic expanded like costs).
     const GpuSimulator base_sim(base);
     const WorkTrace subset_work =
         buildSubsetWorkTrace(trace, subset, base_sim);
@@ -62,17 +60,10 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
     SweepConfig subset_pass = parent_pass;
     subset_pass.perDraw = true;
 
-    double parent_dram = 0.0;
-    SweepResult parent_sweep;
-    if (sweepUsesStreamedPath(config.path, traceDrawCount(trace))) {
-        StreamingWorkTrace stream(trace, base_sim);
-        parent_sweep = retimeAllStreamed(stream, points, parent_pass);
-        parent_dram = stream.totalDramBytes();
-    } else {
-        const WorkTrace parent_work = buildWorkTrace(trace, base_sim);
-        parent_dram = parent_work.totalDramBytes();
-        parent_sweep = retimeAll(parent_work, points, parent_pass);
-    }
+    const WorkTrace parent_work = buildWorkTrace(trace, base_sim);
+    const double parent_dram = parent_work.totalDramBytes();
+    const SweepResult parent_sweep =
+        retimeAll(parent_work, points, parent_pass);
     const SweepResult subset_sweep =
         retimeAll(subset_work, points, subset_pass);
 

@@ -491,21 +491,8 @@ sweepUsesNaivePath(SweepPath path)
         return true;
     if (path == SweepPath::Engine)
         return false;
-    // Auto and Streamed both honour the forcing knob — for Streamed
-    // it picks the per-chunk kernel, keeping the A/B meaningful out
-    // of core.
     static const bool forced = envBool("GWS_NAIVE_SWEEP", false);
     return forced;
-}
-
-bool
-sweepUsesStreamedPath(SweepPath path, std::size_t draw_count)
-{
-    if (path == SweepPath::Streamed)
-        return true;
-    if (path != SweepPath::Auto)
-        return false;
-    return shouldStreamWorkTrace(draw_count);
 }
 
 SweepResult
@@ -567,87 +554,6 @@ retimeAll(const WorkTrace &trace, std::span<const GpuConfig> configs,
 
     runtime_detail::noteSweepPass(
         n_cfg, n_cfg * trace.drawCount(),
-        runtime_detail::nowNs() - t0);
-    return result;
-}
-
-SweepResult
-retimeAllStreamed(StreamingWorkTrace &stream,
-                  std::span<const GpuConfig> configs,
-                  const SweepConfig &config)
-{
-    ScopedRegion region("core.retimeAllStreamed");
-    const std::uint64_t t0 = runtime_detail::nowNs();
-    GWS_ASSERT(!configs.empty(), "retimeAllStreamed with no configs");
-    GWS_ASSERT(!config.perDraw,
-               "streamed sweeps cannot record per-draw costs; the "
-               "configs × draws matrix is the allocation the streamed "
-               "path exists to avoid");
-    for (const GpuConfig &cfg : configs)
-        GWS_ASSERT(capacityConfigHash(cfg) == stream.capacityKey(),
-                   "config '", cfg.name,
-                   "' changes capacity parameters; the streamed work "
-                   "was computed under a different capacity hash");
-
-    const std::size_t n_cfg = configs.size();
-    const std::size_t groups = stream.groupCount();
-
-    SweepResult result;
-    result.configCount = n_cfg;
-    result.groupCount = groups;
-    result.drawCount = stream.drawCount();
-    result.totalNs.assign(n_cfg, 0.0);
-    result.groupNs.assign(n_cfg * groups, 0.0);
-    result.bottleneckNs.assign(n_cfg * numStages, 0.0);
-    result.bottleneckCount.assign(n_cfg * numStages, 0);
-
-    const bool naive = sweepUsesNaivePath(config.path);
-
-    stream.forEachChunk([&](std::size_t, std::size_t first_group,
-                            const WorkTrace &chunk) {
-        // Chunk-local pass through the very kernels retimeAll runs:
-        // they are group-local, and a chunk's columns are bitwise the
-        // flattened trace's rows, so every per-group value comes out
-        // identical.
-        const std::size_t cg = chunk.groupCount();
-        SweepResult local;
-        local.configCount = n_cfg;
-        local.groupCount = cg;
-        local.drawCount = chunk.drawCount();
-        local.groupNs.assign(n_cfg * cg, 0.0);
-        std::vector<double> hist_ns(cg * n_cfg * numStages, 0.0);
-        std::vector<std::uint64_t> hist_count(cg * n_cfg * numStages, 0);
-        if (naive)
-            retimeNaive(chunk, configs, false, local, hist_ns,
-                        hist_count);
-        else
-            retimeEngine(chunk, configs, config, false, local, hist_ns,
-                         hist_count);
-
-        // Fold in the in-memory merge's order: per config, groups
-        // ascending. Chunks arrive in ascending group order, so each
-        // accumulator (totalNs[c], bottleneck slot [c, s]) sees the
-        // exact addition chain of retimeAll's final reduction.
-        for (std::size_t c = 0; c < n_cfg; ++c) {
-            for (std::size_t g = 0; g < cg; ++g) {
-                const double v = local.groupNs[c * cg + g];
-                result.groupNs[c * groups + first_group + g] = v;
-                result.totalNs[c] += v;
-            }
-            for (std::size_t g = 0; g < cg; ++g) {
-                const std::size_t slab = (g * n_cfg + c) * numStages;
-                for (std::size_t s = 0; s < numStages; ++s) {
-                    result.bottleneckNs[c * numStages + s] +=
-                        hist_ns[slab + s];
-                    result.bottleneckCount[c * numStages + s] +=
-                        hist_count[slab + s];
-                }
-            }
-        }
-    });
-
-    runtime_detail::noteSweepPass(
-        n_cfg, n_cfg * stream.drawCount(),
         runtime_detail::nowNs() - t0);
     return result;
 }

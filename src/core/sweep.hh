@@ -34,16 +34,8 @@
  * bit-identical and A/B-comparable; GWS_NAIVE_SWEEP=1 forces the
  * naive path process-wide for SweepPath::Auto callers.
  *
- * SweepPath::Streamed is the out-of-core variant: retimeAllStreamed()
- * runs the same kernels chunk by chunk over a StreamingWorkTrace
- * (fused with the build/spill/load of the bounded window) and folds
- * every accumulator — trace totals, histogram slabs — in ascending
- * group order, chunk by chunk. Because chunks carry whole groups in
- * ascending order, each accumulator sees the exact addition chain of
- * the in-memory merge, so the streamed results are bit-identical to
- * retimeAll() at any chunk size and thread count. Auto-path callers
- * switch to it when the flattened trace would exceed the memory
- * budget (sweepUsesStreamedPath).
+ * Every sweep retimes one in-memory WorkTrace (gpusim/work_trace.hh
+ * gives its size).
  */
 
 #ifndef GWS_CORE_SWEEP_HH
@@ -53,9 +45,9 @@
 #include <vector>
 
 #include "core/subset_pipeline.hh"
-#include "gpusim/streaming_work_trace.hh"
 #include "gpusim/work_trace.hh"
 #include "partition/shards.hh"
+#include "trace/trace.hh"
 
 namespace gws {
 
@@ -72,26 +64,26 @@ enum class SweepPath : std::uint8_t
 
     /** Blocked multi-config kernel over the SoA columns. */
     Engine = 2,
-
-    /** Out-of-core chunked path (retimeAllStreamed); Auto callers
-     *  take it when the trace exceeds the memory budget. */
-    Streamed = 3,
 };
 
-/**
- * Resolve a path against GWS_NAIVE_SWEEP (read once per process).
- * For SweepPath::Streamed this selects the *inner* per-chunk kernel,
- * so the naive/engine A/B extends to the out-of-core path.
- */
+/** Resolve a path against GWS_NAIVE_SWEEP (read once per process). */
 bool sweepUsesNaivePath(SweepPath path);
 
-/**
- * True when a sweep over `draw_count` draws should run out of core:
- * always for SweepPath::Streamed, never for the forced in-memory
- * paths, and for Auto exactly when the flattened trace would exceed
- * the memory budget (shouldStreamWorkTrace).
- */
-bool sweepUsesStreamedPath(SweepPath path, std::size_t draw_count);
+/** Always false. Kept only for perfbench validate's call; the next
+ *  benchmark change removes that call and this declaration. */
+inline bool
+sweepUsesStreamedPath(SweepPath, std::size_t)
+{
+    return false;
+}
+
+/** trace.totalDraws(). Kept only for perfbench validate's call; the
+ *  next benchmark change removes that call and this declaration. */
+inline std::size_t
+traceDrawCount(const Trace &trace)
+{
+    return trace.totalDraws();
+}
 
 /** retimeAll() options. */
 struct SweepConfig
@@ -187,19 +179,6 @@ struct SweepResult
 SweepResult retimeAll(const WorkTrace &trace,
                       std::span<const GpuConfig> configs,
                       const SweepConfig &config = {});
-
-/**
- * Out-of-core retimeAll: evaluate all draws × all configs chunk by
- * chunk over a streaming work trace, fused with the stream's
- * build→spill (first pass) or load (later passes) so no full derived
- * column is ever materialised. Same capacity-hash contract as
- * retimeAll; SweepConfig::perDraw is rejected (a per-draw matrix is
- * exactly the allocation the streamed path exists to avoid). Results
- * are bit-identical to retimeAll on the flattened trace.
- */
-SweepResult retimeAllStreamed(StreamingWorkTrace &stream,
-                              std::span<const GpuConfig> configs,
-                              const SweepConfig &config = {});
 
 /**
  * Flatten a subset's representative draws: one group per SubsetUnit,

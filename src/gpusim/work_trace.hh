@@ -26,6 +26,9 @@
  * addends, same order, config-independent, hence bit-identical to
  * recomputing them at every clock point) and the vertex/pixel
  * weighted-op products hoisted out of the per-config timing loop.
+ * The sixteen columns take 128 bytes a draw. Every sweep flattens its
+ * whole parent trace in memory, which for the largest paper-scale
+ * playthrough (nomad, 677.7K draws) is about 87 MB.
  *
  * A WorkTrace is bound to the *capacity* parameters of the config it
  * was built under (capacityKey); any config sharing that capacity
@@ -121,14 +124,6 @@ class WorkTrace
 
     /** Serial left-to-right sum of the DRAM column in row order. */
     double totalDramBytes() const;
-
-    /**
-     * Column-slab bytes a work trace with `rows` rows keeps resident
-     * (all raw + derived columns, alignment padding included). The
-     * estimate the streaming engine compares against the memory
-     * budget when deciding whether a sweep must go out of core.
-     */
-    static std::size_t residentBytes(std::size_t rows);
 
   private:
     static constexpr std::size_t numColumns = 16;

@@ -66,7 +66,7 @@ traceCap()
 /**
  * Append an event to a thread's buffer, overwriting the oldest
  * retained event (and counting the loss) once the buffer has grown to
- * the cap — the bounded-memory contract for long streaming runs.
+ * the cap — the bounded-memory contract for long runs.
  */
 void
 pushEvent(ThreadBuffer &buf, TraceEvent ev)

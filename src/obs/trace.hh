@@ -66,7 +66,7 @@ void traceEnd();
  * Bound each thread's event buffer to `cap` retained events (0 =
  * unbounded). Once a buffer is full it becomes a ring: the newest
  * event overwrites the oldest, and every overwrite increments the
- * `gws.trace.dropped_spans` counter — so a long streaming run keeps
+ * `gws.trace.dropped_spans` counter — so a long run keeps
  * the tail of its timeline at a fixed memory cost instead of growing
  * without bound. The default comes from the GWS_TRACE_CAP environment
  * variable (1M events per thread when unset). Requires quiescence.

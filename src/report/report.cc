@@ -212,12 +212,6 @@ renderReportHtml(const ReportModel &model)
         os << "<p class=\"empty\">no partitioner metrics</p>\n";
     os << "</section>\n";
 
-    openPanel(os, "panel-streams", "Streaming (gws.stream.*)");
-    if (!model.hasMetrics ||
-        !metricsTable(os, model.metrics, "gws.stream."))
-        os << "<p class=\"empty\">no streaming metrics</p>\n";
-    os << "</section>\n";
-
     openPanel(os, "panel-benches", "Bench envelopes");
     if (model.benches.empty()) {
         os << "<p class=\"empty\">no bench envelopes</p>\n";

@@ -14,7 +14,6 @@
  *   panel-heatmap          sweep heatmaps from bench envelopes
  *   panel-cluster-quality  error/efficiency/outliers per family
  *   panel-shards           gws.part.* metrics
- *   panel-streams          gws.stream.* metrics
  *   panel-benches          envelope summary table
  *
  * The ids are the contract the structural tests (and the CI smoke

@@ -9,7 +9,6 @@
 #include "core/subset_io.hh"
 #include "obs/metrics.hh"
 #include "trace/trace_io.hh"
-#include "trace/wtrc_io.hh"
 #include "util/codec.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -27,19 +26,9 @@ patchU32(std::string &blob, std::size_t pos, std::uint32_t v)
         blob[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
-/** Reseal dispatch on the blob's framing shape. */
-void
-reseal(std::string &blob, Framing framing)
-{
-    if (framing == Framing::Chunked)
-        resealChunked(blob);
-    else
-        resealFramed(blob);
-}
-
 /** Mutation body; `rng` has already been positioned past the kind draw. */
 std::string
-mutate(const std::string &good, Mutation kind, Rng &rng, Framing framing)
+mutate(const std::string &good, Mutation kind, Rng &rng)
 {
     std::string blob = good;
     const std::size_t payload_size =
@@ -56,7 +45,7 @@ mutate(const std::string &good, Mutation kind, Rng &rng, Framing framing)
         break;
     case Mutation::TruncateResealed:
         blob.resize(framedHeaderBytes + rng.index(payload_size + 1));
-        reseal(blob, framing);
+        resealFramed(blob);
         break;
     case Mutation::HeaderByte:
         blob[rng.index(framedHeaderBytes)] =
@@ -71,7 +60,7 @@ mutate(const std::string &good, Mutation kind, Rng &rng, Framing framing)
             break;
         blob[framedHeaderBytes + rng.index(payload_size)] ^=
             static_cast<char>(1u << rng.index(8));
-        reseal(blob, framing);
+        resealFramed(blob);
         break;
     case Mutation::ByteSplatResealed: {
         if (payload_size == 0)
@@ -84,7 +73,7 @@ mutate(const std::string &good, Mutation kind, Rng &rng, Framing framing)
                      : static_cast<unsigned char>(rng.nextU64() & 0xff);
         blob[framedHeaderBytes + rng.index(payload_size)] =
             static_cast<char>(v);
-        reseal(blob, framing);
+        resealFramed(blob);
         break;
     }
     case Mutation::Word32Resealed: {
@@ -106,14 +95,14 @@ mutate(const std::string &good, Mutation kind, Rng &rng, Framing framing)
             v = static_cast<std::uint32_t>(rng.nextU64());
         patchU32(blob,
                  framedHeaderBytes + rng.index(payload_size - 3), v);
-        reseal(blob, framing);
+        resealFramed(blob);
         break;
     }
     case Mutation::AppendResealed: {
         const std::size_t extra = 1 + rng.index(8);
         for (std::size_t i = 0; i < extra; ++i)
             blob.push_back(static_cast<char>(rng.nextU64() & 0xff));
-        reseal(blob, framing);
+        resealFramed(blob);
         break;
     }
     }
@@ -169,8 +158,7 @@ writeArtifact(const std::string &dir, const std::string &format,
 template <typename ErrorT, typename RoundTripFn>
 FuzzReport
 fuzzBlob(const char *format, const std::string &good,
-         RoundTripFn roundTrip, const FuzzConfig &cfg,
-         Framing framing = Framing::Single)
+         RoundTripFn roundTrip, const FuzzConfig &cfg)
 {
     GWS_ASSERT(good.size() >= framedHeaderBytes,
                "fuzz corpus blob smaller than a header");
@@ -189,7 +177,7 @@ fuzzBlob(const char *format, const std::string &good,
         Rng rng = root.fork(i);
         const auto kind =
             static_cast<Mutation>(rng.index(numMutationKinds));
-        const std::string blob = mutate(good, kind, rng, framing);
+        const std::string blob = mutate(good, kind, rng);
         rep.perKind[static_cast<std::size_t>(kind)]++;
         rep.iterations++;
         m_iter.increment();
@@ -271,43 +259,13 @@ resealFramed(std::string &blob)
     patchU32(blob, 12, fnv1a32(payload));
 }
 
-void
-resealChunked(std::string &blob)
-{
-    std::size_t pos = 0;
-    while (blob.size() - pos >= framedHeaderBytes &&
-           blob.size() >= framedHeaderBytes) {
-        std::uint32_t declared = 0;
-        for (int i = 0; i < 4; ++i)
-            declared |= static_cast<std::uint32_t>(
-                            static_cast<unsigned char>(blob[pos + 8 + i]))
-                        << (8 * i);
-        const std::size_t avail = blob.size() - pos - framedHeaderBytes;
-        if (declared > avail) {
-            // Damaged tail frame (truncated payload or a size lie past
-            // EOF): reseal over the bytes actually present, so the
-            // frame passes its checksum and the structural validation
-            // — sequence fields, totals, EOF — has to catch it.
-            patchU32(blob, pos + 8, static_cast<std::uint32_t>(avail));
-            patchU32(blob, pos + 12,
-                     fnv1a32(blob.substr(pos + framedHeaderBytes)));
-            return;
-        }
-        patchU32(blob, pos + 12,
-                 fnv1a32(blob.substr(pos + framedHeaderBytes, declared)));
-        pos += framedHeaderBytes + declared;
-    }
-    // A sub-header tail (< 16 bytes) stays as-is: trailing garbage the
-    // reader's finish() must reject.
-}
-
 std::string
 applyMutation(const std::string &good, Mutation kind, std::uint64_t seed,
-              std::uint64_t iteration, Framing framing)
+              std::uint64_t iteration)
 {
     Rng rng = Rng(seed).fork(iteration);
     (void)rng.index(numMutationKinds); // the engine's kind draw
-    return mutate(good, kind, rng, framing);
+    return mutate(good, kind, rng);
 }
 
 FuzzReport
@@ -338,38 +296,6 @@ fuzzSubsetFormat(const std::string &goodBlob, const FuzzConfig &cfg)
             return oss.str();
         },
         cfg);
-}
-
-FuzzReport
-fuzzWtrcFormat(const std::string &goodBlob, const FuzzConfig &cfg)
-{
-    return fuzzBlob<WtrcError>(
-        "wtrc", goodBlob,
-        [](const std::string &blob) {
-            // Decode the full container (finish() validates totals
-            // and EOF), then re-encode chunk for chunk: raw column
-            // doubles round-trip bitwise, so any accepted blob must
-            // come back byte-identical.
-            std::istringstream iss(blob, std::ios::binary);
-            WtrcReader reader(iss);
-            std::vector<WtrcChunk> chunks;
-            chunks.reserve(reader.chunkCount());
-            for (std::uint32_t c = 0; c < reader.chunkCount(); ++c)
-                chunks.push_back(reader.readChunk());
-            reader.finish();
-
-            std::ostringstream oss(std::ios::binary);
-            WtrcWriter writer(oss, reader.capacityKey());
-            for (const WtrcChunk &chunk : chunks) {
-                const double *cols[wtrcColumnCount];
-                for (std::size_t c = 0; c < wtrcColumnCount; ++c)
-                    cols[c] = chunk.column(c);
-                writer.appendChunk(chunk.groupSizes, cols, chunk.rows);
-            }
-            writer.finish();
-            return oss.str();
-        },
-        cfg, Framing::Chunked);
 }
 
 std::string

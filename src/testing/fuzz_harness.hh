@@ -66,23 +66,6 @@ constexpr std::size_t numMutationKinds = 10;
 /** Printable name of a mutation kind. */
 const char *toString(Mutation m);
 
-/**
- * Framing shape of the blob under test: Single for the one-frame
- * formats (trace, subset — one header, one checksummed payload),
- * Chunked for multi-frame containers (wtrc — a header frame followed
- * by independently framed chunks). The shape decides how "resealed"
- * mutations recompute checksums: a chunked blob is walked frame by
- * frame using the declared size fields, each complete frame's
- * checksum is recomputed over its own payload, and a damaged tail
- * frame is resealed to the bytes actually present — so structural
- * validation (sequence fields, totals, EOF) is exercised instead of
- * tripping every mutation on the first checksum.
- */
-enum class Framing : std::uint8_t {
-    Single,
-    Chunked,
-};
-
 /** Per-mutation decoder verdict. */
 enum class Outcome : std::uint8_t {
     /** Decoder raised the format's typed error. */
@@ -155,22 +138,11 @@ struct FuzzReport
 void resealFramed(std::string &blob);
 
 /**
- * Multi-frame reseal: walk the blob frame by frame (each frame's
- * declared size field decides where the next one starts), recompute
- * every complete frame's checksum, and reseal a truncated/extended
- * tail frame to the bytes actually present. Size-field lies keep
- * lying — the walk desyncs and later "frames" get checksums at the
- * wrong offsets, which the decoder must reject with its typed error.
- */
-void resealChunked(std::string &blob);
-
-/**
  * Apply `kind` to a copy of `good`, drawing randomness from the
  * iteration seed. Exposed so tests can reproduce an artifact.
  */
 std::string applyMutation(const std::string &good, Mutation kind,
-                          std::uint64_t seed, std::uint64_t iteration,
-                          Framing framing = Framing::Single);
+                          std::uint64_t seed, std::uint64_t iteration);
 
 /**
  * Fuzz the trace format: mutate `goodBlob` (a complete serialized
@@ -182,19 +154,6 @@ FuzzReport fuzzTraceFormat(const std::string &goodBlob,
 /** Fuzz the subset format; same contract as fuzzTraceFormat(). */
 FuzzReport fuzzSubsetFormat(const std::string &goodBlob,
                             const FuzzConfig &cfg);
-
-/**
- * Fuzz the gws.wtrc.v1 chunked work-trace container (a complete file
- * image: header frame + chunk frames, Framing::Chunked reseal). The
- * round trip decodes every chunk through WtrcReader (finish()
- * included, so totals and EOF validation are in scope) and re-encodes
- * through WtrcWriter; the contract is the usual typed-error-or-
- * byte-identical. Note the acceptance rate is much higher than the
- * single-frame formats — most of a wtrc blob is column doubles, where
- * any resealed bit pattern is a valid value.
- */
-FuzzReport fuzzWtrcFormat(const std::string &goodBlob,
-                          const FuzzConfig &cfg);
 
 } // namespace fuzz
 } // namespace gws

@@ -443,32 +443,6 @@ TEST_F(PartitionTest, SimulateTraceBitIdenticalOnBalancedPath)
     setDefaultPartitionPath(PartitionPath::Auto);
 }
 
-TEST_F(PartitionTest, StreamedSweepBitIdenticalOnBalancedPath)
-{
-    const Trace trace =
-        GameGenerator(builtinProfile("shock1", SuiteScale::Ci))
-            .generate();
-    const GpuSimulator sim(makeGpuPreset("baseline"));
-    const std::vector<GpuConfig> points = clockSweepConfigs(
-        makeGpuPreset("baseline"), {0.7, 1.0, 1.5});
-    const WorkTrace wt = buildWorkTrace(trace, sim);
-
-    SweepConfig naive_cfg;
-    naive_cfg.partition = PartitionPath::Naive;
-    const SweepResult reference =
-        at(1, [&] { return retimeAll(wt, points, naive_cfg); });
-
-    SweepConfig balanced_cfg;
-    balanced_cfg.partition = PartitionPath::Balanced;
-    const SweepResult streamed = at(4, [&] {
-        StreamOptions opt;
-        opt.memBudgetBytes = 1 << 20;
-        StreamingWorkTrace stream(trace, sim, opt);
-        return retimeAllStreamed(stream, points, balanced_cfg);
-    });
-    EXPECT_TRUE(sameSweepResult(reference, streamed));
-}
-
 TEST_F(PartitionTest, DefaultPathPinningResolves)
 {
     const PartitionPath original = defaultPartitionPath();

@@ -483,7 +483,7 @@ const char *kPanelIds[] = {
     "panel-meta",      "panel-utilization",
     "panel-bottlenecks", "panel-heatmap",
     "panel-cluster-quality", "panel-shards",
-    "panel-streams",   "panel-benches",
+    "panel-benches",
 };
 
 void

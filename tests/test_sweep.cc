@@ -149,6 +149,20 @@ TEST_F(SweepTest, WorkTraceBuildIsThreadCountInvariant)
     EXPECT_EQ(a.totalDramBytes(), b.totalDramBytes());
 }
 
+TEST_F(SweepTest, TotalDramBytesIsTheRowOrderSum)
+{
+    // runDvfsStudy prices the parent's DRAM energy with this total.
+    const Trace &trace = testTrace();
+    const GpuSimulator sim(makeGpuPreset("baseline"));
+    const WorkTrace wt = buildWorkTrace(trace, sim);
+    double expect = 0.0;
+    for (std::size_t f = 0; f < trace.frameCount(); ++f)
+        for (const DrawCall &draw : trace.frame(f).draws())
+            expect +=
+                sim.computeDrawWork(trace, draw).traffic.totalDramBytes();
+    EXPECT_EQ(wt.totalDramBytes(), expect);
+}
+
 TEST_F(SweepTest, SubsetWorkTraceMatchesRepresentatives)
 {
     const Trace &trace = testTrace();
