@@ -27,7 +27,6 @@
 
 #include "features/pca.hh"
 #include "obs/obs.hh"
-#include "partition/shards.hh"
 #include "report/report.hh"
 #include "runtime/runtime.hh"
 #include "synth/suite.hh"
@@ -100,14 +99,10 @@ addThreadsOption(ArgParser &args)
                    "write a self-contained HTML dashboard built from "
                    "the --trace-out / --metrics-out artifacts and "
                    "results/ to this file");
-    args.addString("partition-cost", "",
-                   "shard-balancing cost function: balanced, "
-                   "critical_path, greedy, or minmax (default from "
-                   "GWS_PARTITION)");
     args.addString("pca", "",
                    "cluster in the PCA-whitened feature space keeping "
                    "this cumulative-variance fraction in (0, 1]; "
-                   "'off' forces the raw space (default from GWS_PCA)");
+                   "'off' forces the raw space (the default)");
 }
 
 /**
@@ -135,15 +130,6 @@ applyThreadsOption(const ArgParser &args)
     const std::string metrics_out = args.getString("metrics-out");
     if (!metrics_out.empty())
         obs::setMetricsOutputPath(metrics_out);
-
-    const std::string partition_cost = args.getString("partition-cost");
-    if (!partition_cost.empty()) {
-        PartitionCostFn fn = PartitionCostFn::Balanced;
-        if (!parsePartitionCostFn(partition_cost, &fn))
-            GWS_FATAL("--partition-cost wants balanced / critical_path "
-                      "/ greedy / minmax, got '", partition_cost, "'");
-        setDefaultPartitionCostFn(fn);
-    }
 
     const std::string pca = args.getString("pca");
     if (!pca.empty()) {
@@ -297,7 +283,7 @@ banner(const std::string &id, const std::string &what, SuiteScale scale)
 class BenchJsonWriter
 {
   public:
-    /** Start an envelope for bench `name` (e.g. "micro_sweep"). */
+    /** Start an envelope for bench `name` (e.g. "micro_runtime"). */
     explicit BenchJsonWriter(std::string name) : benchName(std::move(name))
     {
     }

@@ -76,12 +76,15 @@ BENCHMARK(BM_TextureStream)->Arg(128)->Arg(512)->Arg(2048);
 void
 BM_SimulateDraw(benchmark::State &state)
 {
+    // Bypasses the draw-work memo: cycling through 120 draws, every
+    // iteration after the first lap would otherwise be a memo hit.
     const Trace &t = simTrace();
     const GpuSimulator sim(makeGpuPreset("baseline"));
     const auto &draws = t.frame(0).draws();
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(sim.simulateDraw(t, draws[i]));
+        benchmark::DoNotOptimize(
+            sim.timeDrawWork(sim.computeDrawWorkUncached(t, draws[i])));
         i = (i + 1) % draws.size();
     }
     state.SetItemsProcessed(

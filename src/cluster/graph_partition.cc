@@ -107,7 +107,9 @@ graphPartitionCluster(const std::vector<FeatureVector> &points,
 
     PartitionConfig pcfg;
     pcfg.parts = k;
-    pcfg.costFn = config.costFn;
+    // Min-cut under the balance tolerance is the natural clustering
+    // objective: cut edges are weak similarities.
+    pcfg.costFn = PartitionCostFn::Greedy;
     pcfg.balanceTolerance = config.balanceTolerance;
     pcfg.refinePasses = config.refinePasses;
     // Coarsen close to k before seeding: heavy-edge matching merges

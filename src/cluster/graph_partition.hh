@@ -45,14 +45,6 @@ struct GraphPartitionConfig
     std::size_t neighbors = 8;
 
     /**
-     * Partitioner objective. Greedy (min-cut under the balance
-     * tolerance) is the natural clustering objective — cut edges are
-     * weak similarities; the balance-first objectives trade cut
-     * quality for equal cluster sizes.
-     */
-    PartitionCostFn costFn = PartitionCostFn::Greedy;
-
-    /**
      * Max part weight as a multiple of ideal (points per cluster).
      * Deliberately loose: natural draw clusters are heavily skewed
      * (a few repeated-state clusters absorb most draws), and forcing

@@ -30,20 +30,18 @@ enum class KMeansInit : std::uint8_t
  * Clustering output (assignments, centroids, representatives) — the
  * fast path's Hamerly bounds only ever skip scans they can prove
  * irrelevant, and its full scans replay the naive arithmetic in the
- * same order. test_cluster_fastpath verifies the identity.
+ * same order. test_cluster_fastpath verifies the identity; only that
+ * test asks for the naive path.
  */
 enum class KMeansPath : std::uint8_t
 {
-    /** Fast unless the GWS_NAIVE_KMEANS environment variable forces
-     *  the naive path (read once at first use). */
-    Auto = 0,
-
-    /** Textbook full scans + full k-means++ rescans (A/B reference). */
-    Naive = 1,
-
     /** SoA feature matrix, Hamerly upper/lower distance bounds, and
      *  newest-centroid-only k-means++ D^2 pruning. */
-    Fast = 2,
+    Fast = 0,
+
+    /** Textbook full scans + full k-means++ rescans (the test oracle;
+     *  it shares updateCentroids with the fast path). */
+    Naive = 1,
 };
 
 /** k-means parameters. */
@@ -65,7 +63,7 @@ struct KMeansConfig
     std::uint64_t seed = 12345;
 
     /** Implementation selection (bit-identical either way). */
-    KMeansPath path = KMeansPath::Auto;
+    KMeansPath path = KMeansPath::Fast;
 };
 
 /**

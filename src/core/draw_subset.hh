@@ -62,9 +62,9 @@ struct DrawSubsetConfig
 
     /**
      * Feature space the clustering runs in: raw normalized features
-     * or the PCA-projected space (Auto resolves --pca / GWS_PCA with
-     * GWS_NAIVE_FEATURES as the escape hatch). Every algorithm above
-     * clusters the same projected points.
+     * or the PCA-projected space (Auto takes the default that --pca
+     * installs). Every algorithm above clusters the same projected
+     * points.
      */
     FeatureSpaceConfig features;
 };

@@ -55,17 +55,16 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
     // --- retime many: every clock point in one engine pass each -----------
     const std::vector<GpuConfig> points =
         clockSweepConfigs(base, config.scales);
-    SweepConfig parent_pass;
-    parent_pass.path = config.path;
-    SweepConfig subset_pass = parent_pass;
+    SweepConfig subset_pass;
     subset_pass.perDraw = true;
 
     const WorkTrace parent_work = buildWorkTrace(trace, base_sim);
     const double parent_dram = parent_work.totalDramBytes();
-    const SweepResult parent_sweep =
-        retimeAll(parent_work, points, parent_pass);
+    const SweepResult parent_sweep = retimeAll(parent_work, points);
     const SweepResult subset_sweep =
         retimeAll(subset_work, points, subset_pass);
+    const std::vector<double> subset_ns =
+        priceSubsetSweep(subset, subset_work, subset_sweep, points);
 
     // --- score every point -------------------------------------------------
     DvfsResult result;
@@ -73,34 +72,12 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
     std::vector<double> parent_edp, subset_edp;
     for (std::size_t c = 0; c < points.size(); ++c) {
         const GpuConfig &cfg = points[c];
-        const double overhead = cfg.frameOverheadUs * 1e3;
-
-        const double parent_ns = parent_sweep.totalNs[c];
-
-        double subset_ns = 0.0;
-        for (std::size_t u = 0; u < subset.units.size(); ++u) {
-            const SubsetUnit &unit = subset.units[u];
-            std::vector<double> rep_costs;
-            rep_costs.reserve(subset_work.groupEnd(u) -
-                              subset_work.groupBegin(u));
-            for (std::size_t i = subset_work.groupBegin(u);
-                 i < subset_work.groupEnd(u); ++i)
-                rep_costs.push_back(subset_sweep.drawNsAt(c, i));
-            const auto predicted = predictItemCosts(
-                unit.frameSubset.clustering, rep_costs, subset.prediction,
-                unit.frameSubset.workUnits);
-            double frame_ns = overhead;
-            for (double ns : predicted)
-                frame_ns += ns;
-            subset_ns += unit.frameWeight * frame_ns;
-        }
-
         DvfsPoint point;
         point.scale = config.scales[c];
-        point.parent = estimateEnergy({parent_ns, parent_dram}, cfg,
-                                      config.power);
-        point.subset = estimateEnergy({subset_ns, subset_dram}, cfg,
-                                      config.power);
+        point.parent = estimateEnergy(
+            {parent_sweep.totalNs[c], parent_dram}, cfg, config.power);
+        point.subset =
+            estimateEnergy({subset_ns[c], subset_dram}, cfg, config.power);
         parent_energy.push_back(point.parent.totalJ());
         subset_energy.push_back(point.subset.totalJ());
         parent_edp.push_back(point.parent.energyDelay());

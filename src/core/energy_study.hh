@@ -27,9 +27,6 @@ struct DvfsConfig
 
     /** Power model parameters. */
     PowerConfig power;
-
-    /** Retiming implementation (Auto honors GWS_NAIVE_SWEEP). */
-    SweepPath path = SweepPath::Auto;
 };
 
 /** One sweep point's scores, parent vs subset-predicted. */

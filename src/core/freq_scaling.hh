@@ -9,8 +9,7 @@
  * Because cache behavior is clock-independent, the study computes
  * per-draw work once (a parallel WorkTrace build) and re-times it at
  * every clock point in one sweep-engine pass — see core/sweep.hh for
- * the engine and its bit-identity contract against the per-design
- * naive loops.
+ * the engine and its bit-identity contract against timeDrawWork.
  */
 
 #ifndef GWS_CORE_FREQ_SCALING_HH
@@ -32,9 +31,6 @@ struct FreqScalingConfig
 
     /** Index of the normalization point (scale treated as baseline). */
     std::size_t baselineIndex = 2;
-
-    /** Retiming implementation (Auto honors GWS_NAIVE_SWEEP). */
-    SweepPath path = SweepPath::Auto;
 };
 
 /** Result of one frequency-scaling study. */

@@ -32,11 +32,10 @@ rankOf(const std::vector<double> &costs)
  * grouped by capacity hash (first-seen order), each group computes
  * its WorkTrace once and retimes all of its members in one pass. The
  * engine's accumulation contract matches simulateTrace, so the costs
- * are bit-identical to the naive per-design walk.
+ * are bit-identical to a per-design simulateTrace walk.
  */
 std::vector<double>
-parentCostsEngine(const Trace &trace,
-                  const std::vector<GpuConfig> &designs, SweepPath path)
+parentCosts(const Trace &trace, const std::vector<GpuConfig> &designs)
 {
     std::vector<std::uint64_t> group_keys;
     std::vector<std::vector<std::size_t>> groups;
@@ -59,10 +58,8 @@ parentCostsEngine(const Trace &trace,
         configs.reserve(members.size());
         for (std::size_t i : members)
             configs.push_back(designs[i]);
-        SweepConfig pass;
-        pass.path = path;
         const SweepResult sweep =
-            retimeAll(buildWorkTrace(trace, sim), configs, pass);
+            retimeAll(buildWorkTrace(trace, sim), configs);
         for (std::size_t m = 0; m < members.size(); ++m)
             costs[members[m]] = sweep.totalNs[m];
     }
@@ -73,21 +70,13 @@ parentCostsEngine(const Trace &trace,
 
 PathfindingResult
 runPathfinding(const Trace &trace, const WorkloadSubset &subset,
-               const std::vector<GpuConfig> &designs, SweepPath path)
+               const std::vector<GpuConfig> &designs)
 {
     GWS_ASSERT(designs.size() >= 2,
                "pathfinding needs at least two design points");
     ScopedRegion region("core.runPathfinding");
 
-    std::vector<double> parent_costs;
-    if (sweepUsesNaivePath(path)) {
-        for (const auto &design : designs) {
-            const GpuSimulator sim(design);
-            parent_costs.push_back(sim.simulateTrace(trace).totalNs);
-        }
-    } else {
-        parent_costs = parentCostsEngine(trace, designs, path);
-    }
+    const std::vector<double> parent_costs = parentCosts(trace, designs);
 
     PathfindingResult result;
     std::vector<double> subset_costs;

@@ -63,16 +63,15 @@ struct PathfindingResult
  * Run the study: price every design point on the full parent and on
  * the subset, then compare rankings. Requires >= 2 design points.
  *
- * On the engine path, designs differing only in clocks (same capacity
- * hash — e.g. the baseline/wide/fastmem presets) share one WorkTrace
- * and are retimed in a single sweep pass; capacity-changing designs
- * each get their own compute-once pass. The naive path prices every
- * design with its own full simulateTrace walk.
+ * Designs differing only in clocks (same capacity hash — e.g. the
+ * baseline/wide/fastmem presets) share one WorkTrace and are retimed
+ * in a single sweep pass; capacity-changing designs each get their own
+ * compute-once pass. Each parent cost is bit-identical to
+ * GpuSimulator::simulateTrace under that design.
  */
 PathfindingResult runPathfinding(const Trace &trace,
                                  const WorkloadSubset &subset,
-                                 const std::vector<GpuConfig> &designs,
-                                 SweepPath path = SweepPath::Auto);
+                                 const std::vector<GpuConfig> &designs);
 
 } // namespace gws
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "gpusim/draw_work_cache.hh"
+#include "partition/shards.hh"
 #include "runtime/counters.hh"
 #include "runtime/parallel_for.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace gws {
@@ -69,62 +69,20 @@ struct HoistedConfigs
 };
 
 /**
- * Per-design serial loops: one GpuSimulator per config walking every
- * row through timeDrawWork — the shape every sweep study had before
- * the engine. Fills groupNs / the per-group histogram slabs / drawNs;
- * the caller reduces them identically for both paths.
- */
-void
-retimeNaive(const WorkTrace &wt, std::span<const GpuConfig> configs,
-            bool per_draw, SweepResult &result,
-            std::vector<double> &group_hist_ns,
-            std::vector<std::uint64_t> &group_hist_count)
-{
-    const std::size_t groups = wt.groupCount();
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        obs::SpanScope cfgSpan("retime " + configs[c].name);
-        const GpuSimulator sim(configs[c]);
-        const double overhead = sim.config().frameOverheadUs * 1e3;
-        for (std::size_t g = 0; g < groups; ++g) {
-            double total = 0.0;
-            double *hist_ns = &group_hist_ns[(g * configs.size() + c) *
-                                             numStages];
-            std::uint64_t *hist_count =
-                &group_hist_count[(g * configs.size() + c) * numStages];
-            for (std::size_t i = wt.groupBegin(g); i < wt.groupEnd(g);
-                 ++i) {
-                const DrawCost dc = sim.timeDrawWork(wt.work(i));
-                total += dc.totalNs;
-                hist_ns[stageIdx(dc.bottleneck)] += dc.totalNs;
-                ++hist_count[stageIdx(dc.bottleneck)];
-                if (per_draw)
-                    result.drawNs[c * wt.drawCount() + i] = dc.totalNs;
-            }
-            result.groupNs[c * groups + g] = total + overhead;
-        }
-    }
-}
-
-/**
- * Schedule per_group(g) for every group, either over cost-balanced
- * contiguous shards (one shard plan per call, per-group cost = row
- * count + 1 so empty groups still carry scheduling weight) or over
- * uniform groupGrain chunks on the naive partition path. Pure
- * scheduling: every caller keeps per-group state indexed by g and
- * reduces in ascending group order afterwards, so both paths — and
- * any shard count — produce bit-identical results by construction.
+ * Schedule per_group(g) for every group: one group per chunk on one
+ * thread, else over cost-balanced contiguous shards (one shard plan
+ * per call, per-group cost = row count + 1 so empty groups still carry
+ * scheduling weight). Pure scheduling: every caller keeps per-group
+ * state indexed by g and reduces in ascending group order afterwards,
+ * so any shard shape produces bit-identical results by construction.
  */
 template <typename Fn>
 void
-forEachGroupSharded(const WorkTrace &wt, const SweepConfig &config,
-                    Fn &&per_group)
+forEachGroupSharded(const WorkTrace &wt, Fn &&per_group)
 {
     const std::size_t groups = wt.groupCount();
-    if (partitionUsesNaivePath(config.partition) ||
-        resolvedThreadCount() <= 1) {
-        const std::size_t grain =
-            config.groupGrain == 0 ? 1 : config.groupGrain;
-        parallelFor(0, groups, grain, per_group);
+    if (resolvedThreadCount() <= 1) {
+        parallelFor(0, groups, 1, per_group);
         return;
     }
     std::vector<double> costs(groups);
@@ -132,11 +90,8 @@ forEachGroupSharded(const WorkTrace &wt, const SweepConfig &config,
         costs[g] = static_cast<double>(wt.groupEnd(g) -
                                        wt.groupBegin(g)) +
                    1.0;
-    const std::size_t shards = config.shardCount == 0
-                                   ? defaultShardCount(groups)
-                                   : config.shardCount;
-    const ShardPlan plan = partitionTraceShards(
-        costs, shards, defaultPartitionCostFn());
+    const ShardPlan plan =
+        partitionTraceShards(costs, defaultShardCount(groups));
     const auto &f = per_group;
     parallelShards(plan.bounds, [&f](std::size_t b, std::size_t e) {
         for (std::size_t g = b; g < e; ++g)
@@ -151,20 +106,19 @@ forEachGroupSharded(const WorkTrace &wt, const SweepConfig &config,
  * config replicates timeDrawWork operation for operation (same
  * divides, same order, strict-> max scan starting at VertexFetch),
  * so every per-draw total and bottleneck stage is bit-identical to
- * the naive path. Handles configs whose capacity rates differ (e.g.
+ * timeDrawWork's. Handles configs whose capacity rates differ (e.g.
  * pathfinding groups that share a capacity hash but not widths).
  */
 void
 retimeEngineGeneric(const WorkTrace &wt,
                     std::span<const GpuConfig> configs,
-                    const SweepConfig &config, bool per_draw,
+                    const HoistedConfigs &h, bool per_draw,
                     SweepResult &result,
                     std::vector<double> &group_hist_ns,
                     std::vector<std::uint64_t> &group_hist_count)
 {
     const std::size_t n_cfg = configs.size();
     const std::size_t groups = wt.groupCount();
-    const HoistedConfigs h(configs);
 
     const double *vfetch = wt.vertexFetchBytes();
     const double *vs_ops = wt.vsOpsTotal();
@@ -176,7 +130,7 @@ retimeEngineGeneric(const WorkTrace &wt,
     const double *l2 = wt.l2Bytes();
     const double *dram = wt.dramBytes();
 
-    forEachGroupSharded(wt, config, [&](std::size_t g) {
+    forEachGroupSharded(wt, [&](std::size_t g) {
         std::vector<double> acc(n_cfg, 0.0);
         double *hist_ns = &group_hist_ns[g * n_cfg * numStages];
         std::uint64_t *hist_count =
@@ -289,7 +243,7 @@ clockOnlySweep(const HoistedConfigs &h)
  * Exact timeDrawWork max scan from the shared quotients, for the
  * (astronomically rare) draws where two stage quotients land within
  * a few ulps of each other and the divided values could tie. The
- * divides here are the very operations the naive path performs, so
+ * divides here are the very operations timeDrawWork performs, so
  * the recovered bottleneck stage matches it bitwise.
  */
 void
@@ -317,16 +271,16 @@ exactClockedScan(const double *q, double s_dr, double ghz, double setup,
  * Fast kernel for clock-only sweeps. Per block of draws: compute the
  * config-independent stage quotients once (vectorizable divides),
  * take their max/argmax once, then each config pays a single divide
- * plus the dram/setup comparisons. The quotients are bitwise the
- * naive path's intermediates (same dividends, same rates), the max
+ * plus the dram/setup comparisons. The quotients are bitwise
+ * timeDrawWork's intermediates (same dividends, same rates), the max
  * value commutes with the positive division, and near-ties fall back
  * to the exact scan above — so the output stays bit-identical.
  */
 void
 retimeEngineClocked(const WorkTrace &wt,
                     std::span<const GpuConfig> configs,
-                    const HoistedConfigs &h, const SweepConfig &config,
-                    bool per_draw, SweepResult &result,
+                    const HoistedConfigs &h, bool per_draw,
+                    SweepResult &result,
                     std::vector<double> &group_hist_ns,
                     std::vector<std::uint64_t> &group_hist_count)
 {
@@ -358,7 +312,7 @@ retimeEngineClocked(const WorkTrace &wt,
     const double l2_rate = h.l2Rate.front();
     const double dram_bw = h.dramBw.front();
 
-    forEachGroupSharded(wt, config, [&](std::size_t g) {
+    forEachGroupSharded(wt, [&](std::size_t g) {
         std::vector<double> acc(n_cfg, 0.0);
         double *hist_base = &group_hist_ns[g * n_cfg * numStages];
         std::uint64_t *count_base =
@@ -465,35 +419,7 @@ retimeEngineClocked(const WorkTrace &wt,
     });
 }
 
-/** Engine dispatch: clock-only sweeps take the single-divide kernel. */
-void
-retimeEngine(const WorkTrace &wt, std::span<const GpuConfig> configs,
-             const SweepConfig &config, bool per_draw,
-             SweepResult &result, std::vector<double> &group_hist_ns,
-             std::vector<std::uint64_t> &group_hist_count)
-{
-    obs::SpanScope span("core.retimeAll.engine");
-    const HoistedConfigs h(configs);
-    if (clockOnlySweep(h))
-        retimeEngineClocked(wt, configs, h, config, per_draw, result,
-                            group_hist_ns, group_hist_count);
-    else
-        retimeEngineGeneric(wt, configs, config, per_draw, result,
-                            group_hist_ns, group_hist_count);
-}
-
 } // namespace
-
-bool
-sweepUsesNaivePath(SweepPath path)
-{
-    if (path == SweepPath::Naive)
-        return true;
-    if (path == SweepPath::Engine)
-        return false;
-    static const bool forced = envBool("GWS_NAIVE_SWEEP", false);
-    return forced;
-}
 
 SweepResult
 retimeAll(const WorkTrace &trace, std::span<const GpuConfig> configs,
@@ -523,18 +449,20 @@ retimeAll(const WorkTrace &trace, std::span<const GpuConfig> configs,
         result.drawNs.assign(n_cfg * trace.drawCount(), 0.0);
 
     // Per-group histogram partials, combined in ascending group order
-    // below — the same shape for both paths, so the merge order (and
-    // therefore every rounded sum) is identical.
+    // below, so the merge order (and therefore every rounded sum) does
+    // not depend on the shard shape.
     std::vector<double> group_hist_ns(groups * n_cfg * numStages, 0.0);
     std::vector<std::uint64_t> group_hist_count(
         groups * n_cfg * numStages, 0);
 
-    if (sweepUsesNaivePath(config.path))
-        retimeNaive(trace, configs, config.perDraw, result, group_hist_ns,
-                    group_hist_count);
+    // Clock-only sweeps take the single-divide kernel.
+    const HoistedConfigs h(configs);
+    if (clockOnlySweep(h))
+        retimeEngineClocked(trace, configs, h, config.perDraw, result,
+                            group_hist_ns, group_hist_count);
     else
-        retimeEngine(trace, configs, config, config.perDraw, result,
-                     group_hist_ns, group_hist_count);
+        retimeEngineGeneric(trace, configs, h, config.perDraw, result,
+                            group_hist_ns, group_hist_count);
 
     for (std::size_t c = 0; c < n_cfg; ++c) {
         double total = 0.0;
@@ -583,6 +511,37 @@ buildSubsetWorkTrace(const Trace &trace, const WorkloadSubset &subset,
     runtime_detail::noteWorkTraceBuild(wt.drawCount(),
                                        runtime_detail::nowNs() - t0);
     return wt;
+}
+
+std::vector<double>
+priceSubsetSweep(const WorkloadSubset &subset, const WorkTrace &subset_work,
+                 const SweepResult &subset_sweep,
+                 std::span<const GpuConfig> configs)
+{
+    std::vector<double> totals;
+    totals.reserve(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const double overhead = configs[c].frameOverheadUs * 1e3;
+        double subset_total = 0.0;
+        for (std::size_t u = 0; u < subset.units.size(); ++u) {
+            const SubsetUnit &unit = subset.units[u];
+            std::vector<double> rep_costs;
+            rep_costs.reserve(subset_work.groupEnd(u) -
+                              subset_work.groupBegin(u));
+            for (std::size_t i = subset_work.groupBegin(u);
+                 i < subset_work.groupEnd(u); ++i)
+                rep_costs.push_back(subset_sweep.drawNsAt(c, i));
+            const auto predicted = predictItemCosts(
+                unit.frameSubset.clustering, rep_costs, subset.prediction,
+                unit.frameSubset.workUnits);
+            double frame_ns = overhead;
+            for (double ns : predicted)
+                frame_ns += ns;
+            subset_total += unit.frameWeight * frame_ns;
+        }
+        totals.push_back(subset_total);
+    }
+    return totals;
 }
 
 std::vector<GpuConfig>

@@ -13,8 +13,8 @@
  * arrays, producing per-group and per-trace totals plus per-config
  * bottleneck histograms.
  *
- * Hard bit-identity contract (guarded by tests/test_sweep.cc and
- * re-measured by bench_micro_sweep):
+ * Hard bit-identity contract (guarded by tests/test_sweep.cc against
+ * the per-design reference loops in tests/sweep_reference.hh):
  *
  *  - Every per-draw cost is computed with exactly the operations of
  *    GpuSimulator::timeDrawWork, in the same order — only constants
@@ -28,14 +28,11 @@
  *  - Bottleneck histograms accumulate per group in draw order and
  *    combine group partials in ascending group order.
  *
- * Both SweepPath::Naive (a per-design GpuSimulator walking the rows
- * serially through timeDrawWork — the pre-engine loop shape) and
- * SweepPath::Engine follow that contract, so their outputs are
- * bit-identical and A/B-comparable; GWS_NAIVE_SWEEP=1 forces the
- * naive path process-wide for SweepPath::Auto callers.
- *
- * Every sweep retimes one in-memory WorkTrace (gpusim/work_trace.hh
- * gives its size).
+ * Groups are scheduled over cost-balanced shards
+ * (partition/shards.hh) when more than one thread runs; scheduling
+ * never changes a per-group sum, so any thread count gives the same
+ * bits. Every sweep retimes one in-memory WorkTrace
+ * (gpusim/work_trace.hh gives its size).
  */
 
 #ifndef GWS_CORE_SWEEP_HH
@@ -46,28 +43,16 @@
 
 #include "core/subset_pipeline.hh"
 #include "gpusim/work_trace.hh"
-#include "partition/shards.hh"
 #include "trace/trace.hh"
 
 namespace gws {
 
-/** Which retiming implementation retimeAll() runs. */
+/** The only retiming path. Kept only for perfbench validate's call;
+ *  the next benchmark change removes that call and this declaration. */
 enum class SweepPath : std::uint8_t
 {
-    /** Engine unless the GWS_NAIVE_SWEEP environment variable forces
-     *  the naive path (read once at first use). */
     Auto = 0,
-
-    /** Per-design GpuSimulator + serial timeDrawWork loops (the A/B
-     *  reference — the pre-engine shape of the sweep studies). */
-    Naive = 1,
-
-    /** Blocked multi-config kernel over the SoA columns. */
-    Engine = 2,
 };
-
-/** Resolve a path against GWS_NAIVE_SWEEP (read once per process). */
-bool sweepUsesNaivePath(SweepPath path);
 
 /** Always false. Kept only for perfbench validate's call; the next
  *  benchmark change removes that call and this declaration. */
@@ -88,9 +73,6 @@ traceDrawCount(const Trace &trace)
 /** retimeAll() options. */
 struct SweepConfig
 {
-    /** Implementation selection. */
-    SweepPath path = SweepPath::Auto;
-
     /**
      * Also record every per-draw cost (configs × draws doubles).
      * Needed when the caller expands representative costs through a
@@ -98,24 +80,6 @@ struct SweepConfig
      * only group/trace totals matter.
      */
     bool perDraw = false;
-
-    /** Groups per parallel chunk (0 = 1, one frame/unit per chunk).
-     *  Only the naive partition path chunks by count; the balanced
-     *  path derives cost-balanced shard bounds instead. */
-    std::size_t groupGrain = 0;
-
-    /**
-     * How groups are sharded across threads: Balanced uses
-     * cost-balanced contiguous shards from partitionTraceShards()
-     * (equal per-shard draw work, so skewed traces keep every thread
-     * busy), Naive the uniform groupGrain chunking, Auto the process
-     * default (GWS_NAIVE_SHARD / setDefaultPartitionPath). Sharding
-     * is pure scheduling — results are bit-identical on every path.
-     */
-    PartitionPath partition = PartitionPath::Auto;
-
-    /** Shard count for the balanced path (0 = defaultShardCount). */
-    std::size_t shardCount = 0;
 };
 
 /** All totals of one retimeAll() pass. */
@@ -188,6 +152,20 @@ SweepResult retimeAll(const WorkTrace &trace,
 WorkTrace buildSubsetWorkTrace(const Trace &trace,
                                const WorkloadSubset &subset,
                                const GpuSimulator &simulator);
+
+/**
+ * Subset-predicted total of every config from a perDraw retimeAll()
+ * pass over buildSubsetWorkTrace(): per unit, expand the config's
+ * representative costs through predictItemCosts, fold the frame as
+ * overhead + each predicted draw in item order, weight it by
+ * frameWeight, and sum the units in order. The frame fold starts from
+ * the overhead, unlike predictFrameNs (which adds it last), so a total
+ * can differ from WorkloadSubset::predictTotalNs in the last bits.
+ */
+std::vector<double> priceSubsetSweep(const WorkloadSubset &subset,
+                                     const WorkTrace &subset_work,
+                                     const SweepResult &subset_sweep,
+                                     std::span<const GpuConfig> configs);
 
 /** base with every scale applied to the core clock, in sweep order. */
 std::vector<GpuConfig> clockSweepConfigs(const GpuConfig &base,

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "obs/metrics.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace gws {
@@ -256,19 +255,6 @@ std::atomic<int> defaultPath{-1};
 /** Variance fraction that rides along with the default path. */
 std::atomic<double> defaultVariance{1.0};
 
-/** GWS_PCA, parsed once: 0 = off, else a fraction in (0, 1]. */
-double
-envPcaVariance()
-{
-    double frac = envDouble("GWS_PCA", 0.0);
-    if (frac < 0.0 || frac > 1.0) {
-        GWS_WARN("GWS_PCA must be a variance fraction in (0, 1], got ",
-                 frac, "; ignoring");
-        frac = 0.0;
-    }
-    return frac;
-}
-
 } // namespace
 
 void
@@ -287,24 +273,11 @@ resolveFeatureSpace(const FeatureSpaceConfig &config)
     FeatureSpaceConfig out = config;
     if (out.path != FeaturePath::Auto)
         return out;
-    // The escape hatch wins over everything, like GWS_NAIVE_KMEANS:
-    // latched once so mid-run environment edits cannot change paths.
-    static const bool naive_forced = envBool("GWS_NAIVE_FEATURES", false);
-    if (naive_forced) {
-        out.path = FeaturePath::Naive;
-        return out;
-    }
     const int installed = defaultPath.load(std::memory_order_acquire);
     if (installed >= 0) {
         out.path = static_cast<FeaturePath>(installed);
         out.pcaVariance =
             defaultVariance.load(std::memory_order_relaxed);
-        return out;
-    }
-    static const double env_frac = envPcaVariance();
-    if (env_frac > 0.0) {
-        out.path = FeaturePath::Pca;
-        out.pcaVariance = env_frac;
     } else {
         out.path = FeaturePath::Naive;
     }

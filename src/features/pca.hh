@@ -10,11 +10,10 @@
  * bit-identical transforms on every platform and thread count — the
  * same reproducibility contract the rest of the pipeline carries.
  *
- * Feature-space selection follows the A/B escape-hatch pattern of
- * GWS_NAIVE_KMEANS: `GWS_NAIVE_FEATURES=1` forces the raw normalized
- * space regardless of any other knob, `--pca=<frac>` / `GWS_PCA`
- * opt into the projected space. The default is the raw space, so
- * existing outputs stay byte-identical unless PCA is requested.
+ * Feature-space selection: a pipeline's FeatureSpaceConfig names a
+ * space explicitly, or leaves it to the process default that
+ * `--pca=<frac>` installs. The default is the raw space, so existing
+ * outputs stay byte-identical unless PCA is requested.
  */
 
 #ifndef GWS_FEATURES_PCA_HH
@@ -112,7 +111,7 @@ class PcaTransform
 /** Which feature space the clustering stages see. */
 enum class FeaturePath
 {
-    /** Resolve from GWS_NAIVE_FEATURES / --pca / GWS_PCA. */
+    /** The process default (what --pca installs; else Naive). */
     Auto,
     /** Raw normalized features (the historical behaviour). */
     Naive,
@@ -129,7 +128,7 @@ constexpr std::size_t noDropDim = static_cast<std::size_t>(-1);
 /** Per-pipeline feature-space selection. */
 struct FeatureSpaceConfig
 {
-    /** Explicit path wins; Auto consults env knobs and the default. */
+    /** Explicit path wins; Auto takes the process default. */
     FeaturePath path = FeaturePath::Auto;
 
     /** Cumulative-variance fraction when path is Pca. */
@@ -145,12 +144,11 @@ struct FeatureSpaceConfig
 
 /**
  * Set the process-global default feature space that Auto resolves to
- * (what `--pca` installs). Overrides GWS_PCA but not
- * GWS_NAIVE_FEATURES, which always wins as the escape hatch.
+ * (what `--pca` installs).
  */
 void setDefaultFeatureSpace(const FeatureSpaceConfig &config);
 
-/** Resolve Auto against env knobs and the process default. */
+/** Resolve Auto against the process default. */
 FeatureSpaceConfig resolveFeatureSpace(const FeatureSpaceConfig &config);
 
 /**

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "gpusim/gpu_simulator.hh"
-#include "util/env.hh"
 
 namespace gws {
 
@@ -150,13 +149,6 @@ drawWorkKey(const Trace &trace, const DrawCall &draw,
         kb.add(tex.bytesPerTexel);
     }
     return kb.key();
-}
-
-bool
-drawWorkCacheEnabled()
-{
-    static const bool enabled = envBool("GWS_DRAW_CACHE", true);
-    return enabled;
 }
 
 bool

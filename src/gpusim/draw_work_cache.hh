@@ -22,8 +22,9 @@
  * The cache holds at most drawWorkCacheCapacity entries, 1/64 of them
  * in each of its 64 shards; an insert that finds its shard full
  * clears that shard first, so a working set larger than the cap keeps
- * caching its recent draws. GWS_DRAW_CACHE=0 disables the cache.
- * Hit/miss totals feed the runtime counters (`--runtime-stats`).
+ * caching its recent draws. GpuSimulator::computeDrawWorkUncached is
+ * the memo-off path. Hit/miss totals feed the runtime counters
+ * (`--runtime-stats`).
  */
 
 #ifndef GWS_GPUSIM_DRAW_WORK_CACHE_HH
@@ -62,9 +63,6 @@ std::uint64_t capacityConfigHash(const GpuConfig &config);
  */
 DrawWorkKey drawWorkKey(const Trace &trace, const DrawCall &draw,
                         std::uint64_t capacityHash);
-
-/** True unless GWS_DRAW_CACHE=0 disabled the cache at startup. */
-bool drawWorkCacheEnabled();
 
 /** Most entries the cache holds at once. */
 constexpr std::size_t drawWorkCacheCapacity = 256 * 1024;

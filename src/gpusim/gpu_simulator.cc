@@ -75,8 +75,6 @@ DrawWork
 GpuSimulator::computeDrawWork(const Trace &trace,
                               const DrawCall &draw) const
 {
-    if (!drawWorkCacheEnabled())
-        return computeDrawWorkUncached(trace, draw);
     const DrawWorkKey key = drawWorkKey(trace, draw, capacityKey);
     DrawWork work;
     if (drawWorkCacheLookup(key, &work)) {
@@ -208,24 +206,23 @@ GpuSimulator::simulateTrace(const Trace &trace) const
 {
     // Frames are independent, so the whole trace fans out across
     // threads; a frame simulated on a pool worker prices its draws
-    // inline (nested loops degrade gracefully). On the balanced
-    // partition path frames are grouped into equal-draw-count shards
-    // (skewed traces leave no thread pinned to one heavy chunk); the
-    // naive path keeps one frame per chunk. Either way frame costs
-    // land at their index and the totals are reduced in frame order
-    // afterwards, so the paths are bit-identical.
+    // inline (nested loops degrade gracefully). With more than one
+    // thread, frames are grouped into equal-draw-count shards (skewed
+    // traces leave no thread pinned to one heavy chunk); on one thread
+    // they run in order. Either way frame costs land at their index
+    // and the totals are reduced in frame order afterwards, so every
+    // thread count gives the same bits.
     ScopedRegion region("gpusim.simulateTrace");
     TraceCost tc;
     const std::size_t n = trace.frameCount();
-    if (!partitionUsesNaivePath(PartitionPath::Auto) && n > 1 &&
-        resolvedThreadCount() > 1) {
+    if (n > 1 && resolvedThreadCount() > 1) {
         std::vector<double> costs(n);
         for (std::size_t i = 0; i < n; ++i)
             costs[i] =
                 static_cast<double>(trace.frame(i).draws().size()) +
                 1.0;
-        const ShardPlan plan = partitionTraceShards(
-            costs, defaultShardCount(n), defaultPartitionCostFn());
+        const ShardPlan plan =
+            partitionTraceShards(costs, defaultShardCount(n));
         tc.frames.resize(n);
         parallelShards(plan.bounds,
                        [&](std::size_t b, std::size_t e) {

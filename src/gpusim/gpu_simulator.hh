@@ -159,6 +159,13 @@ class GpuSimulator
     DrawWork computeDrawWork(const Trace &trace,
                              const DrawCall &draw) const;
 
+    /**
+     * The computation computeDrawWork memoizes, run afresh on every
+     * call: the memo-off path for tests and hot-path microbenchmarks.
+     */
+    DrawWork computeDrawWorkUncached(const Trace &trace,
+                                     const DrawCall &draw) const;
+
     /** Price previously-computed work at this config's clocks. */
     DrawCost timeDrawWork(const DrawWork &work) const;
 
@@ -174,10 +181,6 @@ class GpuSimulator
   private:
     /** Weighted SIMD ops per invocation of a shader. */
     double weightedOps(const InstructionMix &mix) const;
-
-    /** The uncached draw-work computation computeDrawWork memoizes. */
-    DrawWork computeDrawWorkUncached(const Trace &trace,
-                                     const DrawCall &draw) const;
 
     GpuConfig cfg;
     MemorySystem memory;

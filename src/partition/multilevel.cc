@@ -9,38 +9,6 @@
 
 namespace gws {
 
-const char *
-toString(PartitionCostFn fn)
-{
-    switch (fn) {
-      case PartitionCostFn::Balanced:
-        return "balanced";
-      case PartitionCostFn::CriticalPath:
-        return "critical_path";
-      case PartitionCostFn::Greedy:
-        return "greedy";
-      case PartitionCostFn::MinMaxWorkloads:
-        return "minmax";
-    }
-    GWS_PANIC("unknown partition cost fn ", static_cast<int>(fn));
-}
-
-bool
-parsePartitionCostFn(const std::string &text, PartitionCostFn *out)
-{
-    if (text == "balanced")
-        *out = PartitionCostFn::Balanced;
-    else if (text == "critical_path")
-        *out = PartitionCostFn::CriticalPath;
-    else if (text == "greedy")
-        *out = PartitionCostFn::Greedy;
-    else if (text == "minmax")
-        *out = PartitionCostFn::MinMaxWorkloads;
-    else
-        return false;
-    return true;
-}
-
 namespace {
 
 constexpr std::uint32_t kUnassigned =
@@ -496,12 +464,8 @@ class Refiner
             return sumSquares / (ideal * ideal *
                                  static_cast<double>(parts)) +
                    0.1 * c;
-          case PartitionCostFn::CriticalPath:
-            return maxWeight() / ideal + 0.1 * c;
           case PartitionCostFn::Greedy:
             return c;
-          case PartitionCostFn::MinMaxWorkloads:
-            return (maxWeight() - minWeight()) / ideal + 0.1 * c;
         }
         GWS_PANIC("unknown partition cost fn");
     }
@@ -525,19 +489,11 @@ class Refiner
                           static_cast<double>(parts)) +
                    0.1 * c;
           }
-          case PartitionCostFn::CriticalPath:
-            return maxWeightWith(src, dst, w_src, w_dst) / ideal +
-                   0.1 * c;
           case PartitionCostFn::Greedy:
             // Hard balance constraint instead of a balance term.
             if (w_dst > config.balanceTolerance * ideal)
                 return std::numeric_limits<double>::infinity();
             return c;
-          case PartitionCostFn::MinMaxWorkloads:
-            return (maxWeightWith(src, dst, w_src, w_dst) -
-                    minWeightWith(src, dst, w_src, w_dst)) /
-                       ideal +
-                   0.1 * c;
         }
         GWS_PANIC("unknown partition cost fn");
     }
@@ -557,46 +513,6 @@ class Refiner
         ++count[dst];
         cut += internal - external;
         assignment[i] = dst;
-    }
-
-    double
-    maxWeight() const
-    {
-        double m = weight[0];
-        for (double w : weight)
-            m = std::max(m, w);
-        return m;
-    }
-
-    double
-    minWeight() const
-    {
-        double m = weight[0];
-        for (double w : weight)
-            m = std::min(m, w);
-        return m;
-    }
-
-    double
-    maxWeightWith(std::uint32_t src, std::uint32_t dst, double w_src,
-                  double w_dst) const
-    {
-        double m = std::max(w_src, w_dst);
-        for (std::size_t p = 0; p < parts; ++p)
-            if (p != src && p != dst)
-                m = std::max(m, weight[p]);
-        return m;
-    }
-
-    double
-    minWeightWith(std::uint32_t src, std::uint32_t dst, double w_src,
-                  double w_dst) const
-    {
-        double m = std::min(w_src, w_dst);
-        for (std::size_t p = 0; p < parts; ++p)
-            if (p != src && p != dst)
-                m = std::min(m, weight[p]);
-        return m;
     }
 
     const PartGraph &graph;

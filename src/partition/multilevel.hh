@@ -15,18 +15,13 @@
  *    a k-NN feature-similarity graph into balanced clusters, the
  *    methodology check next to k-means / leader / agglomerative.
  *
- * Cost functions follow the workload-generator family of the
- * npu_compiler pass the ROADMAP cites:
+ * One cost function per consumer:
  *
- *  - Balanced:        drive every part toward the ideal weight (sum of
- *                     squared deviations), cut as a tiebreaker.
- *  - CriticalPath:    minimize the heaviest part — the critical path
- *                     of a parallel schedule over the parts.
- *  - Greedy:          classic min-cut refinement under the balance
- *                     tolerance (greedy initial growth, accept only
- *                     cut-improving moves that respect the tolerance).
- *  - MinMaxWorkloads: minimize the spread between the heaviest and
- *                     lightest part.
+ *  - Balanced (the load balancer): drive every part toward the ideal
+ *    weight (sum of squared deviations), cut as a tiebreaker.
+ *  - Greedy (the clustering family): classic min-cut refinement under
+ *    the balance tolerance (greedy initial growth, accept only
+ *    cut-improving moves that respect the tolerance).
  *
  * Everything is deterministic: node visits ascend by index, ties break
  * toward the lowest id, and no randomness is involved — equal inputs
@@ -35,8 +30,6 @@
 
 #ifndef GWS_PARTITION_MULTILEVEL_HH
 #define GWS_PARTITION_MULTILEVEL_HH
-
-#include <string>
 
 #include "partition/graph.hh"
 
@@ -48,24 +41,9 @@ enum class PartitionCostFn : std::uint8_t
     /** Equalize all part weights (sum of squared deviations). */
     Balanced = 0,
 
-    /** Minimize the heaviest part (the parallel critical path). */
-    CriticalPath = 1,
-
     /** Minimize edge cut under the balance tolerance. */
-    Greedy = 2,
-
-    /** Minimize max − min part weight. */
-    MinMaxWorkloads = 3,
+    Greedy = 1,
 };
-
-/** Printable cost-function name ("balanced", ...). */
-const char *toString(PartitionCostFn fn);
-
-/**
- * Parse a cost-function name ("balanced", "critical_path", "greedy",
- * "minmax"). Returns false (and leaves *out alone) on anything else.
- */
-bool parsePartitionCostFn(const std::string &text, PartitionCostFn *out);
 
 /** Multilevel partitioner knobs. */
 struct PartitionConfig

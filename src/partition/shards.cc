@@ -1,108 +1,16 @@
 #include "partition/shards.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "obs/obs.hh"
 #include "runtime/runtime_config.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace gws {
 
-namespace {
-
-/** Auto-path pin: -1 = unset (env decides), else a PartitionPath. */
-std::atomic<int> pathOverride{-1};
-
-/** Cost-fn pin: -1 = unset (env decides), else a PartitionCostFn. */
-std::atomic<int> costFnOverride{-1};
-
-PartitionCostFn
-envPartitionCostFn()
-{
-    static const PartitionCostFn parsed = [] {
-        const std::string text = envString("GWS_PARTITION", "");
-        if (text.empty())
-            return PartitionCostFn::Balanced;
-        PartitionCostFn fn = PartitionCostFn::Balanced;
-        if (!parsePartitionCostFn(text, &fn))
-            GWS_WARN("GWS_PARTITION wants balanced / critical_path / "
-                     "greedy / minmax, got '", text,
-                     "'; using balanced");
-        return fn;
-    }();
-    return parsed;
-}
-
-} // namespace
-
-const char *
-toString(PartitionPath path)
-{
-    switch (path) {
-      case PartitionPath::Auto:
-        return "auto";
-      case PartitionPath::Naive:
-        return "naive";
-      case PartitionPath::Balanced:
-        return "balanced";
-    }
-    GWS_PANIC("unknown partition path ", static_cast<int>(path));
-}
-
-bool
-partitionUsesNaivePath(PartitionPath path)
-{
-    if (path == PartitionPath::Naive)
-        return true;
-    if (path == PartitionPath::Balanced)
-        return false;
-    const int pinned = pathOverride.load(std::memory_order_relaxed);
-    if (pinned == static_cast<int>(PartitionPath::Naive))
-        return true;
-    if (pinned == static_cast<int>(PartitionPath::Balanced))
-        return false;
-    static const bool forced = envBool("GWS_NAIVE_SHARD", false);
-    return forced;
-}
-
-void
-setDefaultPartitionPath(PartitionPath path)
-{
-    pathOverride.store(path == PartitionPath::Auto
-                           ? -1
-                           : static_cast<int>(path),
-                       std::memory_order_relaxed);
-}
-
-PartitionPath
-defaultPartitionPath()
-{
-    return partitionUsesNaivePath(PartitionPath::Auto)
-               ? PartitionPath::Naive
-               : PartitionPath::Balanced;
-}
-
-PartitionCostFn
-defaultPartitionCostFn()
-{
-    const int pinned = costFnOverride.load(std::memory_order_relaxed);
-    if (pinned >= 0)
-        return static_cast<PartitionCostFn>(pinned);
-    return envPartitionCostFn();
-}
-
-void
-setDefaultPartitionCostFn(PartitionCostFn fn)
-{
-    costFnOverride.store(static_cast<int>(fn),
-                         std::memory_order_relaxed);
-}
-
 ShardPlan
 partitionTraceShards(const std::vector<double> &unit_costs,
-                     std::size_t shards, PartitionCostFn cost_fn)
+                     std::size_t shards)
 {
     obs::SpanScope span("part.shard");
     ShardPlan plan;
@@ -113,7 +21,7 @@ partitionTraceShards(const std::vector<double> &unit_costs,
 
     PartitionConfig cfg;
     cfg.parts = shards;
-    cfg.costFn = cost_fn;
+    cfg.costFn = PartitionCostFn::Balanced;
     const PartitionResult res =
         multilevelPartition(buildChainGraph(unit_costs), cfg);
 

@@ -13,66 +13,19 @@
  * which contiguous index range. Every consumer keeps per-unit results
  * index-addressed and folds reductions in ascending index order, so
  * any shard shape — uniform, cost-balanced, or a single shard — gives
- * bit-identical output. The PartitionPath enum mirrors SweepPath as
- * the A/B escape hatch: `GWS_NAIVE_SHARD=1` (or
- * setDefaultPartitionPath(PartitionPath::Naive)) reverts every Auto
- * call site to uniform chunking.
+ * bit-identical output. The consumers shard only when more than one
+ * thread runs; on one thread they walk the units in order.
  */
 
 #ifndef GWS_PARTITION_SHARDS_HH
 #define GWS_PARTITION_SHARDS_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "partition/multilevel.hh"
 
 namespace gws {
-
-/** Which sharding strategy a hot path uses (mirrors SweepPath). */
-enum class PartitionPath : std::uint8_t
-{
-    /** Respect the process default (override, then GWS_NAIVE_SHARD). */
-    Auto = 0,
-
-    /** Uniform-count chunking (the pre-partitioner behavior). */
-    Naive = 1,
-
-    /** Cost-balanced shards from partitionTraceShards(). */
-    Balanced = 2,
-};
-
-/** Printable path name ("auto", "naive", "balanced"). */
-const char *toString(PartitionPath path);
-
-/**
- * Does `path` resolve to uniform-count chunking? Auto consults the
- * process-wide default: setDefaultPartitionPath() if called, else the
- * GWS_NAIVE_SHARD boolean (read once), else balanced.
- */
-bool partitionUsesNaivePath(PartitionPath path);
-
-/**
- * Programmatically pin what PartitionPath::Auto resolves to
- * (process-wide, any thread). Passing Auto clears the pin, returning
- * control to GWS_NAIVE_SHARD. Exists so tests and benches can A/B
- * the paths without re-execing under a different environment.
- */
-void setDefaultPartitionPath(PartitionPath path);
-
-/** What Auto currently resolves to: Naive or Balanced, never Auto. */
-PartitionPath defaultPartitionPath();
-
-/**
- * The process-default cost function: setDefaultPartitionCostFn() if
- * called, else GWS_PARTITION ("balanced" / "critical_path" /
- * "greedy" / "minmax", read once, unparseable warns), else Balanced.
- */
-PartitionCostFn defaultPartitionCostFn();
-
-/** Pin the process-default cost function (process-wide, any thread). */
-void setDefaultPartitionCostFn(PartitionCostFn fn);
 
 /**
  * A contiguous sharding of [0, n): shard s covers indices
@@ -96,14 +49,14 @@ struct ShardPlan
 /**
  * Split the cost sequence `unit_costs` (one entry per group / frame /
  * chunk unit) into up to `shards` contiguous equal-cost shards via the
- * multilevel chain partitioner. The shard count is clamped to
+ * multilevel chain partitioner's Balanced objective. The shard count
+ * is clamped to
  * [1, units]; an empty input yields an empty plan (bounds == {0}).
  * Deterministic for equal inputs. Emits a `part.shard` span and the
  * gws.part.shard_* metrics.
  */
 ShardPlan partitionTraceShards(const std::vector<double> &unit_costs,
-                               std::size_t shards,
-                               PartitionCostFn cost_fn);
+                               std::size_t shards);
 
 /**
  * Default shard count for `units` work units: two shards per resolved

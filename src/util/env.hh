@@ -1,28 +1,19 @@
 /**
  * @file
- * Checked environment-knob readers. Every GWS_* environment variable
- * goes through these helpers so a typo ("GWS_DRAW_CACHE=yes" when the
- * parser wanted an integer) warns loudly via GWS_WARN and falls back
- * to the default, instead of being silently misread the way a bare
- * std::atoi would ("yes" -> 0).
+ * Checked environment-knob reader. The size knobs (GWS_THREADS,
+ * GWS_GRAIN, GWS_TRACE_CAP, GWS_MAX_PAYLOAD) go through it so a typo
+ * ("GWS_THREADS=four") warns loudly via GWS_WARN and falls back to the
+ * default, instead of being silently misread the way a bare std::atoi
+ * would ("four" -> 0). GWS_FUZZ_ARTIFACT_DIR, the one path knob, is
+ * read by the fuzz harness directly.
  */
 
 #ifndef GWS_UTIL_ENV_HH
 #define GWS_UTIL_ENV_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 
 namespace gws {
-
-/**
- * Read a boolean knob. Accepts 0/1, true/false, yes/no, on/off
- * (case-insensitive) and any integer (nonzero = true). Unset or empty
- * returns `fallback`; anything unparseable warns and returns
- * `fallback`.
- */
-bool envBool(const char *name, bool fallback);
 
 /**
  * Read a non-negative integer knob. Unset or empty returns
@@ -30,22 +21,6 @@ bool envBool(const char *name, bool fallback);
  * std::size_t warns and returns `fallback`.
  */
 std::size_t envSize(const char *name, std::size_t fallback);
-
-/**
- * Read a finite floating-point knob. Unset or empty returns
- * `fallback`; garbage, trailing junk, overflow, or a non-finite value
- * (nan/inf) warns and returns `fallback`.
- */
-double envDouble(const char *name, double fallback);
-
-/**
- * Read a string knob, trimmed of surrounding whitespace. Unset or
- * empty (after trimming) returns `fallback`. Validation is the
- * caller's job — only the caller knows the accepted vocabulary — but
- * callers are expected to GWS_WARN and fall back on unparseable
- * values, like the readers above do.
- */
-std::string envString(const char *name, const std::string &fallback);
 
 } // namespace gws
 

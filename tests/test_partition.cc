@@ -3,13 +3,14 @@
  * Tests of the multilevel graph partitioner and its two consumers:
  * the cost-balanced shard planner feeding the sweep/simulate hot
  * paths (determinism, imbalance bounds, degenerate inputs, and the
- * bit-identity of naive vs balanced sharding at several thread and
- * shard counts) and the graph-partition clustering family (valid
- * clusterings at every k, all four cost functions).
+ * bit-identity of sharded runs against serial references at several
+ * thread counts) and the graph-partition clustering family (valid
+ * clusterings at every k). Both cost functions are covered.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "cluster/graph_partition.hh"
@@ -22,6 +23,7 @@
 #include "partition/shards.hh"
 #include "runtime/runtime.hh"
 #include "synth/generator.hh"
+#include "sweep_reference.hh"
 #include "util/rng.hh"
 
 namespace gws {
@@ -87,7 +89,6 @@ class PartitionTest : public ::testing::Test
     void TearDown() override
     {
         setRuntimeConfig(saved);
-        setDefaultPartitionPath(PartitionPath::Auto);
         shutdownGlobalThreadPool();
     }
 
@@ -104,22 +105,10 @@ class PartitionTest : public ::testing::Test
     RuntimeConfig saved;
 };
 
-// ------------------------------------------------------------ cost fns --
-
-TEST(PartitionCostFnTest, ParseRoundTripsAndRejects)
-{
-    for (PartitionCostFn fn :
-         {PartitionCostFn::Balanced, PartitionCostFn::CriticalPath,
-          PartitionCostFn::Greedy, PartitionCostFn::MinMaxWorkloads}) {
-        PartitionCostFn parsed = PartitionCostFn::Balanced;
-        EXPECT_TRUE(parsePartitionCostFn(toString(fn), &parsed));
-        EXPECT_EQ(parsed, fn);
-    }
-    PartitionCostFn parsed = PartitionCostFn::Greedy;
-    EXPECT_FALSE(parsePartitionCostFn("metis", &parsed));
-    EXPECT_FALSE(parsePartitionCostFn("", &parsed));
-    EXPECT_EQ(parsed, PartitionCostFn::Greedy); // untouched on failure
-}
+/** Both objectives, with a printable name for failure messages. */
+constexpr std::pair<PartitionCostFn, const char *> allCostFns[] = {
+    {PartitionCostFn::Balanced, "balanced"},
+    {PartitionCostFn::Greedy, "greedy"}};
 
 // ------------------------------------------------------- chain partitions --
 
@@ -129,15 +118,13 @@ TEST(MultilevelPartitionTest, ChainPartitionsAreContiguousAndDeterministic)
     const PartGraph graph = buildChainGraph(costs);
     graph.validate();
 
-    for (PartitionCostFn fn :
-         {PartitionCostFn::Balanced, PartitionCostFn::CriticalPath,
-          PartitionCostFn::Greedy, PartitionCostFn::MinMaxWorkloads}) {
+    for (const auto &[fn, name] : allCostFns) {
         PartitionConfig cfg;
         cfg.parts = 7;
         cfg.costFn = fn;
         const PartitionResult a = multilevelPartition(graph, cfg);
         const PartitionResult b = multilevelPartition(graph, cfg);
-        EXPECT_EQ(a.assignment, b.assignment) << toString(fn);
+        EXPECT_EQ(a.assignment, b.assignment) << name;
         ASSERT_EQ(a.assignment.size(), costs.size());
         EXPECT_EQ(a.parts, 7u);
 
@@ -225,20 +212,18 @@ TEST(MultilevelPartitionTest, GeneralGraphPartsNonEmptyEveryCostFn)
         buildGraph(std::vector<double>(2 * half, 1.0), edges);
     graph.validate();
 
-    for (PartitionCostFn fn :
-         {PartitionCostFn::Balanced, PartitionCostFn::CriticalPath,
-          PartitionCostFn::Greedy, PartitionCostFn::MinMaxWorkloads}) {
+    for (const auto &[fn, name] : allCostFns) {
         PartitionConfig cfg;
         cfg.parts = 2;
         cfg.costFn = fn;
         const PartitionResult a = multilevelPartition(graph, cfg);
         const PartitionResult b = multilevelPartition(graph, cfg);
-        EXPECT_EQ(a.assignment, b.assignment) << toString(fn);
+        EXPECT_EQ(a.assignment, b.assignment) << name;
         ASSERT_EQ(a.partWeights.size(), 2u);
-        EXPECT_GT(a.partWeights[0], 0.0) << toString(fn);
-        EXPECT_GT(a.partWeights[1], 0.0) << toString(fn);
+        EXPECT_GT(a.partWeights[0], 0.0) << name;
+        EXPECT_GT(a.partWeights[1], 0.0) << name;
         // The weak bridge is the natural cut.
-        EXPECT_LE(a.cutCost, 8.0 + 0.1) << toString(fn);
+        EXPECT_LE(a.cutCost, 8.0 + 0.1) << name;
     }
 }
 
@@ -247,27 +232,23 @@ TEST(MultilevelPartitionTest, GeneralGraphPartsNonEmptyEveryCostFn)
 TEST(ShardPlanTest, EdgeCases)
 {
     // Empty input: no shards.
-    const ShardPlan empty =
-        partitionTraceShards({}, 4, PartitionCostFn::Balanced);
+    const ShardPlan empty = partitionTraceShards({}, 4);
     EXPECT_EQ(empty.shardCount(), 0u);
     EXPECT_EQ(empty.bounds, std::vector<std::size_t>{0});
 
     // Single unit.
-    const ShardPlan one =
-        partitionTraceShards({3.0}, 4, PartitionCostFn::Balanced);
+    const ShardPlan one = partitionTraceShards({3.0}, 4);
     EXPECT_EQ(one.shardCount(), 1u);
     EXPECT_EQ(one.bounds, (std::vector<std::size_t>{0, 1}));
     EXPECT_DOUBLE_EQ(one.imbalance, 1.0);
 
     // One shard spans everything.
-    const ShardPlan single = partitionTraceShards(
-        skewedCosts(10, 4.0), 1, PartitionCostFn::Balanced);
+    const ShardPlan single = partitionTraceShards(skewedCosts(10, 4.0), 1);
     EXPECT_EQ(single.shardCount(), 1u);
     EXPECT_EQ(single.bounds, (std::vector<std::size_t>{0, 10}));
 
     // More shards than units: clamped to one unit per shard.
-    const ShardPlan clamped = partitionTraceShards(
-        {1.0, 1.0, 1.0}, 9, PartitionCostFn::Balanced);
+    const ShardPlan clamped = partitionTraceShards({1.0, 1.0, 1.0}, 9);
     EXPECT_EQ(clamped.shardCount(), 3u);
     EXPECT_EQ(clamped.bounds, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
@@ -276,8 +257,7 @@ TEST(ShardPlanTest, BalancesSkewedCostsWithinBound)
 {
     const std::vector<double> costs = skewedCosts(512, 16.0);
     for (std::size_t shards : {2u, 3u, 4u, 8u}) {
-        const ShardPlan plan = partitionTraceShards(
-            costs, shards, PartitionCostFn::Balanced);
+        const ShardPlan plan = partitionTraceShards(costs, shards);
         ASSERT_EQ(plan.shardCount(), shards);
         EXPECT_LE(plan.imbalance, 1.10) << shards << " shards";
         // Bounds tile [0, n) ascending.
@@ -291,13 +271,9 @@ TEST(ShardPlanTest, BalancesSkewedCostsWithinBound)
 TEST(ShardPlanTest, DeterministicAcrossCalls)
 {
     const std::vector<double> costs = skewedCosts(200, 8.0);
-    for (PartitionCostFn fn :
-         {PartitionCostFn::Balanced, PartitionCostFn::CriticalPath,
-          PartitionCostFn::Greedy, PartitionCostFn::MinMaxWorkloads}) {
-        const ShardPlan a = partitionTraceShards(costs, 5, fn);
-        const ShardPlan b = partitionTraceShards(costs, 5, fn);
-        EXPECT_EQ(a.bounds, b.bounds) << toString(fn);
-    }
+    const ShardPlan a = partitionTraceShards(costs, 5);
+    const ShardPlan b = partitionTraceShards(costs, 5);
+    EXPECT_EQ(a.bounds, b.bounds);
 }
 
 // ----------------------------------------------------- clustering family --
@@ -341,7 +317,7 @@ TEST(GraphPartitionClusterTest, DeterministicAcrossCalls)
     EXPECT_EQ(a.representatives, b.representatives);
 }
 
-// ------------------------------------------------- sweep path bit-identity --
+// ---------------------------------------------- sharded bit-identity --
 
 TEST_F(PartitionTest, RetimeAllBitIdenticalAcrossShardings)
 {
@@ -368,24 +344,16 @@ TEST_F(PartitionTest, RetimeAllBitIdenticalAcrossShardings)
     const std::vector<GpuConfig> points = clockSweepConfigs(
         makeGpuPreset("baseline"), {0.6, 1.0, 1.4, 1.8});
 
-    SweepConfig naive_cfg;
-    naive_cfg.path = SweepPath::Engine;
-    naive_cfg.partition = PartitionPath::Naive;
-    naive_cfg.perDraw = true;
-    const SweepResult reference =
-        at(1, [&] { return retimeAll(wt, points, naive_cfg); });
+    SweepConfig cfg;
+    cfg.perDraw = true;
+    const SweepResult reference = referenceRetimeAll(wt, points, true);
 
-    for (std::size_t threads : {1u, 4u}) {
-        for (std::size_t shards : {1u, 3u, 4u}) {
-            SweepConfig balanced_cfg = naive_cfg;
-            balanced_cfg.partition = PartitionPath::Balanced;
-            balanced_cfg.shardCount = shards;
-            const SweepResult got = at(threads, [&] {
-                return retimeAll(wt, points, balanced_cfg);
-            });
-            EXPECT_TRUE(sameSweepResult(reference, got))
-                << threads << " threads, " << shards << " shards";
-        }
+    // Each thread count above 1 plans 2 shards per thread.
+    for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+        const SweepResult got =
+            at(threads, [&] { return retimeAll(wt, points, cfg); });
+        EXPECT_TRUE(sameSweepResult(reference, got))
+            << threads << " threads";
     }
 }
 
@@ -407,60 +375,34 @@ TEST_F(PartitionTest, RetimeAllEmptyAndSingleGroupTraces)
             w.psWeightedOps = 20000.0;
             wt.setRow(i, w);
         }
-        SweepConfig naive_cfg;
-        naive_cfg.partition = PartitionPath::Naive;
-        SweepConfig balanced_cfg;
-        balanced_cfg.partition = PartitionPath::Balanced;
-        const SweepResult a = at(4, [&] {
-            return retimeAll(wt, points, naive_cfg);
-        });
-        const SweepResult b = at(4, [&] {
-            return retimeAll(wt, points, balanced_cfg);
-        });
-        EXPECT_TRUE(sameSweepResult(a, b))
+        const SweepResult got =
+            at(4, [&] { return retimeAll(wt, points); });
+        EXPECT_TRUE(
+            sameSweepResult(referenceRetimeAll(wt, points, false), got))
             << sizes.size() << " groups";
     }
 }
 
-TEST_F(PartitionTest, SimulateTraceBitIdenticalOnBalancedPath)
+TEST_F(PartitionTest, SimulateTraceShardsMatchSerialFrames)
 {
     const Trace trace =
         GameGenerator(builtinProfile("shock1", SuiteScale::Ci))
             .generate();
     const GpuSimulator sim(makeGpuPreset("baseline"));
 
-    setDefaultPartitionPath(PartitionPath::Naive);
-    const TraceCost naive =
-        at(4, [&] { return sim.simulateTrace(trace); });
-
-    setDefaultPartitionPath(PartitionPath::Balanced);
-    for (std::size_t threads : {1u, 4u}) {
-        const TraceCost balanced =
-            at(threads, [&] { return sim.simulateTrace(trace); });
-        EXPECT_TRUE(sameTraceCost(naive, balanced))
-            << threads << " threads";
+    // Frame by frame in order, summed in frame order.
+    TraceCost serial;
+    for (std::size_t i = 0; i < trace.frameCount(); ++i) {
+        serial.frames.push_back(sim.simulateFrame(trace, trace.frame(i)));
+        serial.totalNs += serial.frames.back().totalNs;
+        serial.drawsSimulated += serial.frames.back().drawNs.size();
     }
-    setDefaultPartitionPath(PartitionPath::Auto);
-}
 
-TEST_F(PartitionTest, DefaultPathPinningResolves)
-{
-    const PartitionPath original = defaultPartitionPath();
-
-    setDefaultPartitionPath(PartitionPath::Naive);
-    EXPECT_TRUE(partitionUsesNaivePath(PartitionPath::Auto));
-    EXPECT_EQ(defaultPartitionPath(), PartitionPath::Naive);
-
-    setDefaultPartitionPath(PartitionPath::Balanced);
-    EXPECT_FALSE(partitionUsesNaivePath(PartitionPath::Auto));
-    EXPECT_EQ(defaultPartitionPath(), PartitionPath::Balanced);
-
-    // Explicit paths ignore the pin.
-    EXPECT_TRUE(partitionUsesNaivePath(PartitionPath::Naive));
-    EXPECT_FALSE(partitionUsesNaivePath(PartitionPath::Balanced));
-
-    setDefaultPartitionPath(PartitionPath::Auto);
-    EXPECT_EQ(defaultPartitionPath(), original);
+    for (std::size_t threads : {1u, 4u}) {
+        const TraceCost got =
+            at(threads, [&] { return sim.simulateTrace(trace); });
+        EXPECT_TRUE(sameTraceCost(serial, got)) << threads << " threads";
+    }
 }
 
 } // namespace

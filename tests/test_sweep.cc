@@ -2,12 +2,13 @@
  * @file
  * Bit-identity tests of the compute-once / retime-many sweep engine:
  * the flattened WorkTrace must reproduce computeDrawWork exactly, the
- * blocked retiming kernel must match both the naive per-design loops
- * and simulateTrace bit for bit (totals, per-group costs, per-draw
- * costs, bottleneck histograms) at every thread count, and the three
- * rewired studies (frequency scaling, pathfinding, DVFS) must produce
- * identical results on either path. Also covers the bound-texture
- * memo in MemorySystem and the texture-table epoch that keys it.
+ * blocked retiming kernel must match both the per-design reference
+ * loops (sweep_reference.hh) and simulateTrace bit for bit (totals,
+ * per-group costs, per-draw costs, bottleneck histograms) at every
+ * thread count, and the three studies built on it (frequency scaling,
+ * pathfinding, DVFS) must price parent and subset exactly as the
+ * per-design references do. Also covers the bound-texture memo in
+ * MemorySystem and the texture-table epoch that keys it.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "runtime/counters.hh"
 #include "runtime/runtime.hh"
 #include "synth/generator.hh"
+#include "sweep_reference.hh"
 
 namespace gws {
 namespace {
@@ -189,26 +191,35 @@ TEST_F(SweepTest, SubsetWorkTraceMatchesRepresentatives)
 
 // -------------------------------------------------------------- retimeAll --
 
-TEST_F(SweepTest, EngineMatchesNaiveBitwise)
+TEST_F(SweepTest, EngineMatchesReferenceBitwise)
 {
     const Trace &trace = testTrace();
-    const GpuSimulator sim(makeGpuPreset("baseline"));
-    const WorkTrace wt = buildWorkTrace(trace, sim);
-    const std::vector<GpuConfig> points = sweepPoints();
+    const WorkTrace wt =
+        buildWorkTrace(trace, GpuSimulator(makeGpuPreset("baseline")));
 
-    SweepConfig naive_cfg;
-    naive_cfg.path = SweepPath::Naive;
-    naive_cfg.perDraw = true;
-    SweepConfig engine_cfg = naive_cfg;
-    engine_cfg.path = SweepPath::Engine;
+    // A clock sweep takes the clock-only kernel. The presets sharing
+    // baseline's capacity hash differ in throughput rates, so they
+    // take the generic kernel.
+    std::vector<GpuConfig> presets;
+    for (const std::string &name : gpuPresetNames())
+        if (capacityConfigHash(makeGpuPreset(name)) == wt.capacityKey())
+            presets.push_back(makeGpuPreset(name));
+    ASSERT_GE(presets.size(), 2u);
 
-    const SweepResult naive = retimeAll(wt, points, naive_cfg);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}}) {
-        const SweepResult engine = at(
-            threads, [&] { return retimeAll(wt, points, engine_cfg); });
-        EXPECT_TRUE(sameSweepResult(naive, engine))
-            << "engine diverges from naive at threads=" << threads;
+    SweepConfig engine_cfg;
+    engine_cfg.perDraw = true;
+    for (const std::vector<GpuConfig> &configs : {sweepPoints(), presets}) {
+        const SweepResult reference =
+            referenceRetimeAll(wt, configs, true);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                          std::size_t{4}}) {
+            const SweepResult engine = at(threads, [&] {
+                return retimeAll(wt, configs, engine_cfg);
+            });
+            EXPECT_TRUE(sameSweepResult(reference, engine))
+                << configs.size() << " configs diverge from the "
+                << "reference at threads=" << threads;
+        }
     }
 }
 
@@ -219,9 +230,7 @@ TEST_F(SweepTest, EngineMatchesSimulateTrace)
     const WorkTrace wt = buildWorkTrace(trace, base_sim);
     const std::vector<GpuConfig> points = sweepPoints();
 
-    SweepConfig engine_cfg;
-    engine_cfg.path = SweepPath::Engine;
-    const SweepResult engine = retimeAll(wt, points, engine_cfg);
+    const SweepResult engine = retimeAll(wt, points);
 
     for (std::size_t c = 0; c < points.size(); ++c) {
         const GpuSimulator sim(points[c]);
@@ -248,32 +257,28 @@ TEST_F(SweepTest, EngineMatchesSimulateTrace)
 
 // ---------------------------------------------------------------- studies --
 
-TEST_F(SweepTest, FreqScalingPathsAreBitIdentical)
+TEST_F(SweepTest, FreqScalingMatchesReference)
 {
     const Trace &trace = testTrace();
     const WorkloadSubset &subset = testSubset();
     const GpuConfig base = makeGpuPreset("baseline");
+    const FreqScalingConfig cfg;
+    const std::vector<GpuConfig> points =
+        clockSweepConfigs(base, cfg.scales);
 
-    FreqScalingConfig naive_cfg;
-    naive_cfg.path = SweepPath::Naive;
-    FreqScalingConfig engine_cfg;
-    engine_cfg.path = SweepPath::Engine;
-
-    const FreqScalingResult naive =
-        runFreqScaling(trace, subset, base, naive_cfg);
-    const FreqScalingResult engine =
-        runFreqScaling(trace, subset, base, engine_cfg);
-
-    EXPECT_EQ(naive.parentNs, engine.parentNs);
-    EXPECT_EQ(naive.subsetNs, engine.subsetNs);
-    EXPECT_EQ(naive.parentImprovement, engine.parentImprovement);
-    EXPECT_EQ(naive.subsetImprovement, engine.subsetImprovement);
-    EXPECT_EQ(naive.correlation, engine.correlation);
-    EXPECT_EQ(naive.maxImprovementGap, engine.maxImprovementGap);
-    EXPECT_GT(engine.correlation, 0.9);
+    const FreqScalingResult r = runFreqScaling(trace, subset, base, cfg);
+    ASSERT_EQ(r.parentNs.size(), points.size());
+    ASSERT_EQ(r.subsetNs.size(), points.size());
+    for (std::size_t c = 0; c < points.size(); ++c) {
+        EXPECT_EQ(r.parentNs[c],
+                  GpuSimulator(points[c]).simulateTrace(trace).totalNs);
+        EXPECT_EQ(r.subsetNs[c],
+                  referenceSubsetSweepNs(trace, subset, points[c]));
+    }
+    EXPECT_GT(r.correlation, 0.9);
 }
 
-TEST_F(SweepTest, PathfindingPathsAreBitIdentical)
+TEST_F(SweepTest, PathfindingMatchesReference)
 {
     const Trace &trace = testTrace();
     const WorkloadSubset &subset = testSubset();
@@ -281,57 +286,37 @@ TEST_F(SweepTest, PathfindingPathsAreBitIdentical)
     for (const std::string &name : gpuPresetNames())
         designs.push_back(makeGpuPreset(name));
 
-    const PathfindingResult naive =
-        runPathfinding(trace, subset, designs, SweepPath::Naive);
-    const PathfindingResult engine =
-        runPathfinding(trace, subset, designs, SweepPath::Engine);
-
-    ASSERT_EQ(naive.points.size(), engine.points.size());
-    for (std::size_t i = 0; i < naive.points.size(); ++i) {
-        EXPECT_EQ(naive.points[i].parentNs, engine.points[i].parentNs);
-        EXPECT_EQ(naive.points[i].subsetNs, engine.points[i].subsetNs);
-        EXPECT_EQ(naive.points[i].parentSpeedup,
-                  engine.points[i].parentSpeedup);
-        EXPECT_EQ(naive.points[i].subsetSpeedup,
-                  engine.points[i].subsetSpeedup);
+    const PathfindingResult r = at(4, [&] {
+        return runPathfinding(trace, subset, designs);
+    });
+    ASSERT_EQ(r.points.size(), designs.size());
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        const GpuSimulator sim(designs[i]);
+        EXPECT_EQ(r.points[i].parentNs, sim.simulateTrace(trace).totalNs);
+        EXPECT_EQ(r.points[i].subsetNs, subset.predictTotalNs(trace, sim));
     }
-    EXPECT_EQ(naive.parentRanking, engine.parentRanking);
-    EXPECT_EQ(naive.subsetRanking, engine.subsetRanking);
-    EXPECT_EQ(naive.rankingPreserved, engine.rankingPreserved);
-    EXPECT_EQ(naive.speedupCorrelation, engine.speedupCorrelation);
-    EXPECT_EQ(naive.rankCorrelation, engine.rankCorrelation);
 }
 
-TEST_F(SweepTest, DvfsPathsAreBitIdentical)
+TEST_F(SweepTest, DvfsMatchesReference)
 {
     const Trace &trace = testTrace();
     const WorkloadSubset &subset = testSubset();
     const GpuConfig base = makeGpuPreset("baseline");
+    const DvfsConfig cfg;
+    const std::vector<GpuConfig> points =
+        clockSweepConfigs(base, cfg.scales);
 
-    DvfsConfig naive_cfg;
-    naive_cfg.path = SweepPath::Naive;
-    DvfsConfig engine_cfg;
-    engine_cfg.path = SweepPath::Engine;
-
-    const DvfsResult naive = runDvfsStudy(trace, subset, base, naive_cfg);
-    const DvfsResult engine =
-        runDvfsStudy(trace, subset, base, engine_cfg);
-
-    ASSERT_EQ(naive.points.size(), engine.points.size());
-    for (std::size_t i = 0; i < naive.points.size(); ++i) {
-        EXPECT_EQ(naive.points[i].parent.totalJ(),
-                  engine.points[i].parent.totalJ());
-        EXPECT_EQ(naive.points[i].parent.energyDelay(),
-                  engine.points[i].parent.energyDelay());
-        EXPECT_EQ(naive.points[i].subset.totalJ(),
-                  engine.points[i].subset.totalJ());
-        EXPECT_EQ(naive.points[i].subset.energyDelay(),
-                  engine.points[i].subset.energyDelay());
+    const DvfsResult r = runDvfsStudy(trace, subset, base, cfg);
+    ASSERT_EQ(r.points.size(), points.size());
+    for (std::size_t c = 0; c < points.size(); ++c) {
+        // estimateEnergy's seconds is the priced time × 1e-9.
+        EXPECT_EQ(r.points[c].parent.seconds,
+                  GpuSimulator(points[c]).simulateTrace(trace).totalNs *
+                      1e-9);
+        EXPECT_EQ(r.points[c].subset.seconds,
+                  referenceSubsetSweepNs(trace, subset, points[c]) *
+                      1e-9);
     }
-    EXPECT_EQ(naive.parentOptimal, engine.parentOptimal);
-    EXPECT_EQ(naive.subsetOptimal, engine.subsetOptimal);
-    EXPECT_EQ(naive.energyCorrelation, engine.energyCorrelation);
-    EXPECT_EQ(naive.edpCorrelation, engine.edpCorrelation);
 }
 
 // -------------------------------------------------- texture-bind memo -----

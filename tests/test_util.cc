@@ -635,84 +635,12 @@ TEST(Args, PositionalArgumentIsFatal)
 
 // -------------------------------------------------------------------- env --
 
-TEST(Env, BoolParsesWordsAndIntegers)
-{
-    ::setenv("GWS_TEST_BOOL", "yes", 1);
-    EXPECT_TRUE(envBool("GWS_TEST_BOOL", false));
-    ::setenv("GWS_TEST_BOOL", "OFF", 1);
-    EXPECT_FALSE(envBool("GWS_TEST_BOOL", true));
-    ::setenv("GWS_TEST_BOOL", " true ", 1);
-    EXPECT_TRUE(envBool("GWS_TEST_BOOL", false));
-    ::setenv("GWS_TEST_BOOL", "0", 1);
-    EXPECT_FALSE(envBool("GWS_TEST_BOOL", true));
-    ::setenv("GWS_TEST_BOOL", "2", 1);
-    EXPECT_TRUE(envBool("GWS_TEST_BOOL", false));
-    ::unsetenv("GWS_TEST_BOOL");
-}
-
-TEST(Env, BoolUnsetOrEmptyUsesFallback)
-{
-    ::unsetenv("GWS_TEST_BOOL");
-    EXPECT_TRUE(envBool("GWS_TEST_BOOL", true));
-    EXPECT_FALSE(envBool("GWS_TEST_BOOL", false));
-    ::setenv("GWS_TEST_BOOL", "", 1);
-    EXPECT_TRUE(envBool("GWS_TEST_BOOL", true));
-    ::unsetenv("GWS_TEST_BOOL");
-}
-
-TEST(Env, BoolGarbageWarnsAndFallsBack)
-{
-    // The regression this utility exists for: GWS_DRAW_CACHE=yes went
-    // through atoi and silently became 0. Garbage now warns (visible
-    // in gws.warnings) and keeps the default.
-    ::setenv("GWS_TEST_BOOL", "maybe", 1);
-    const int before = warnCount();
-    EXPECT_TRUE(envBool("GWS_TEST_BOOL", true));
-    EXPECT_EQ(warnCount(), before + 1);
-    ::unsetenv("GWS_TEST_BOOL");
-}
-
 TEST(Env, SizeParsesAndTrims)
 {
     ::setenv("GWS_TEST_SIZE", " 4096 ", 1);
     EXPECT_EQ(envSize("GWS_TEST_SIZE", 7), 4096u);
     ::unsetenv("GWS_TEST_SIZE");
     EXPECT_EQ(envSize("GWS_TEST_SIZE", 7), 7u);
-}
-
-TEST(Env, StringTrimsAndFallsBack)
-{
-    ::setenv("GWS_TEST_STRING", " greedy ", 1);
-    EXPECT_EQ(envString("GWS_TEST_STRING", "balanced"), "greedy");
-    ::setenv("GWS_TEST_STRING", "   ", 1);
-    EXPECT_EQ(envString("GWS_TEST_STRING", "balanced"), "balanced");
-    ::unsetenv("GWS_TEST_STRING");
-    EXPECT_EQ(envString("GWS_TEST_STRING", "balanced"), "balanced");
-}
-
-TEST(Env, DoubleParsesAndTrims)
-{
-    ::setenv("GWS_TEST_DOUBLE", " 0.95 ", 1);
-    EXPECT_DOUBLE_EQ(envDouble("GWS_TEST_DOUBLE", 0.5), 0.95);
-    ::setenv("GWS_TEST_DOUBLE", "2", 1);
-    EXPECT_DOUBLE_EQ(envDouble("GWS_TEST_DOUBLE", 0.5), 2.0);
-    ::unsetenv("GWS_TEST_DOUBLE");
-    EXPECT_DOUBLE_EQ(envDouble("GWS_TEST_DOUBLE", 0.5), 0.5);
-}
-
-TEST(Env, DoubleRejectsGarbageAndNonFinite)
-{
-    const int before = warnCount();
-    ::setenv("GWS_TEST_DOUBLE", "lots", 1);
-    EXPECT_DOUBLE_EQ(envDouble("GWS_TEST_DOUBLE", 0.5), 0.5);
-    ::setenv("GWS_TEST_DOUBLE", "0.9x", 1);
-    EXPECT_DOUBLE_EQ(envDouble("GWS_TEST_DOUBLE", 0.5), 0.5);
-    ::setenv("GWS_TEST_DOUBLE", "inf", 1);
-    EXPECT_DOUBLE_EQ(envDouble("GWS_TEST_DOUBLE", 0.5), 0.5);
-    ::setenv("GWS_TEST_DOUBLE", "nan", 1);
-    EXPECT_DOUBLE_EQ(envDouble("GWS_TEST_DOUBLE", 0.5), 0.5);
-    EXPECT_EQ(warnCount(), before + 4);
-    ::unsetenv("GWS_TEST_DOUBLE");
 }
 
 TEST(Env, SizeRejectsGarbageNegativeAndOverflow)
