@@ -7,10 +7,11 @@
  *
  * Observability: --trace-out=<file> records a Chrome trace (load it in
  * https://ui.perfetto.dev), --metrics-out=<file> exports the metrics
- * registry, and --runtime-stats prints the counter report plus the
- * span self-time rollup. Results JSON goes through BenchJsonWriter so
- * every BENCH_<name>.json shares one envelope (bench name, git
- * revision, thread count, wall time).
+ * registry, and --runtime-stats prints every non-zero registry metric
+ * plus the per-span rollup (count, total and self time of each layer).
+ * Results JSON goes through BenchJsonWriter so every BENCH_<name>.json
+ * shares one envelope (bench name, git revision, thread count, wall
+ * time).
  */
 
 #ifndef GWS_BENCH_BENCH_COMMON_HH
@@ -62,7 +63,7 @@ struct BenchContext
 inline std::uint64_t
 benchProcessT0()
 {
-    static const std::uint64_t t0 = runtime_detail::nowNs();
+    static const std::uint64_t t0 = obs::nowNs();
     return t0;
 }
 
@@ -90,7 +91,8 @@ addThreadsOption(ArgParser &args)
                 "worker threads, 0 = hardware concurrency "
                 "(default from GWS_THREADS)");
     args.addFlag("runtime-stats",
-                 "print parallel-runtime counters before exit");
+                 "print the non-zero registry metrics and the "
+                 "per-span time rollup before exit");
     args.addString("trace-out", "",
                    "record a Chrome/Perfetto trace to this file");
     args.addString("metrics-out", "",
@@ -109,7 +111,9 @@ addThreadsOption(ArgParser &args)
  * Apply a parsed --threads value to the global runtime config and arm
  * the --trace-out / --metrics-out exports (flushed by reportRuntime()
  * or atexit). Recording starts here, so everything the bench does
- * after option parsing lands in the trace.
+ * after option parsing lands in the trace and the rollup. Without
+ * --trace-out, --runtime-stats records the rollup only and retains no
+ * event.
  */
 inline void
 applyThreadsOption(const ArgParser &args)
@@ -122,11 +126,13 @@ applyThreadsOption(const ArgParser &args)
         .set(static_cast<double>(resolvedThreadCount()));
 
     const std::string trace_out = args.getString("trace-out");
-    if (!trace_out.empty()) {
+    if (!trace_out.empty())
         obs::setTraceOutputPath(trace_out);
-        if (!obs::traceEnabled())
-            obs::traceBegin();
-    }
+    if (!obs::traceEnabled() &&
+        (!trace_out.empty() || args.getFlag("runtime-stats")))
+        obs::traceBegin(trace_out.empty()
+                            ? obs::TraceRetention::RollupOnly
+                            : obs::TraceRetention::Events);
     const std::string metrics_out = args.getString("metrics-out");
     if (!metrics_out.empty())
         obs::setMetricsOutputPath(metrics_out);
@@ -151,14 +157,26 @@ applyThreadsOption(const ArgParser &args)
 }
 
 /**
- * Print the runtime counter report and span rollup if --runtime-stats
- * was given, then flush any armed --trace-out / --metrics-out files.
+ * If --runtime-stats was given, print every non-zero registry counter
+ * and gauge by name, then the span rollup; then flush any armed
+ * --trace-out / --metrics-out files.
  */
 inline void
 reportRuntime(const ArgParser &args)
 {
     if (args.getFlag("runtime-stats")) {
-        std::fputs(runtimeCountersReport().c_str(), stdout);
+        obs::updatePeakRssGauge();
+        for (const obs::MetricSnapshot &m :
+             obs::metricsRegistry().snapshot()) {
+            if (m.type == obs::MetricType::Counter && m.counterValue != 0)
+                std::printf("metric: %-40s %llu\n", m.name.c_str(),
+                            static_cast<unsigned long long>(
+                                m.counterValue));
+            else if (m.type == obs::MetricType::Gauge &&
+                     m.gaugeValue != 0.0)
+                std::printf("metric: %-40s %.10g\n", m.name.c_str(),
+                            m.gaugeValue);
+        }
         std::fputs(obs::traceRollupReport().c_str(), stdout);
     }
     obs::flushObservability();
@@ -353,8 +371,7 @@ class BenchJsonWriter
             return false;
         }
         const double wall_ms =
-            static_cast<double>(runtime_detail::nowNs() -
-                                benchProcessT0()) *
+            static_cast<double>(obs::nowNs() - benchProcessT0()) *
             1e-6;
         std::fprintf(fp,
                      "{\n  \"schema\": \"gws.bench.v1\",\n"

@@ -78,7 +78,6 @@ run(int argc, char **argv)
     std::sort(sweep.begin(), sweep.end());
     sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
 
-    resetRuntimeCounters();
     const RuntimeConfig base = runtimeConfig();
     std::vector<double> best_ms(sweep.size());
     double reference_total = 0.0;

@@ -4,7 +4,7 @@
 #include <queue>
 
 #include "cluster/feature_matrix.hh"
-#include "runtime/counters.hh"
+#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace gws {
@@ -41,7 +41,7 @@ agglomerativeCluster(const std::vector<FeatureVector> &points,
 {
     GWS_ASSERT(!points.empty(), "agglomerative on an empty point set");
     GWS_ASSERT(config.distanceThreshold >= 0.0, "negative threshold");
-    ScopedRegion region("cluster.agglomerative");
+    obs::SpanScope span("cluster.agglomerative");
     const std::size_t n = points.size();
     GWS_ASSERT(n <= UINT32_MAX, "agglomerative on ", n,
                " points; indices are 32-bit");

@@ -6,7 +6,8 @@
 #include <limits>
 
 #include "cluster/feature_matrix.hh"
-#include "runtime/counters.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -24,6 +25,11 @@ namespace {
  * which fail the strict test and fall through to a full scan.
  */
 constexpr double kBoundSlack = 1e-9;
+
+obs::Counter &g_bounds_skipped =
+    obs::metricsRegistry().counter("cluster.kmeans.boundsSkipped");
+obs::Counter &g_full_scans =
+    obs::metricsRegistry().counter("cluster.kmeans.fullScans");
 
 /** Index of the centroid nearest to a point. */
 std::uint32_t
@@ -278,7 +284,7 @@ runLloydNaive(const std::vector<FeatureVector> &points, std::size_t k,
                            if (moved)
                                changed_flag.store(
                                    true, std::memory_order_relaxed);
-                           runtime_detail::noteKmeansBounds(0, e - b);
+                           g_full_scans.add(e - b);
                        });
         bool changed = changed_flag.load();
 
@@ -397,7 +403,10 @@ runLloydFast(const FeatureMatrix &matrix,
             }
             if (moved)
                 changed_flag.store(true, std::memory_order_relaxed);
-            runtime_detail::noteKmeansBounds(skipped, scanned);
+            if (skipped)
+                g_bounds_skipped.add(skipped);
+            if (scanned)
+                g_full_scans.add(scanned);
         });
         bool changed = changed_flag.load();
 
@@ -432,7 +441,7 @@ runLloydFast(const FeatureMatrix &matrix,
 Clustering
 kmeans(const std::vector<FeatureVector> &points, const KMeansConfig &config)
 {
-    ScopedRegion region("cluster.kmeans");
+    obs::SpanScope span("cluster.kmeans");
     GWS_ASSERT(!points.empty(), "kmeans on an empty point set");
     GWS_ASSERT(config.restarts >= 1, "kmeans needs at least one restart");
     GWS_ASSERT(config.maxIterations >= 1, "kmeans needs iterations");

@@ -4,7 +4,8 @@
 #include <limits>
 
 #include "cluster/feature_matrix.hh"
-#include "runtime/counters.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 
@@ -20,6 +21,11 @@ namespace {
  */
 constexpr double kNormRejectSlack = 1e-9;
 
+obs::Counter &g_norm_rejects =
+    obs::metricsRegistry().counter("cluster.leader.normRejects");
+obs::Counter &g_distances =
+    obs::metricsRegistry().counter("cluster.leader.distances");
+
 } // namespace
 
 Clustering
@@ -28,7 +34,7 @@ leaderCluster(const std::vector<FeatureVector> &points,
 {
     GWS_ASSERT(!points.empty(), "leader clustering on an empty point set");
     GWS_ASSERT(config.radius >= 0.0, "negative radius: ", config.radius);
-    ScopedRegion region("cluster.leader");
+    obs::SpanScope span("cluster.leader");
     const double r2 = config.radius * config.radius;
     const std::size_t n = points.size();
 
@@ -79,7 +85,8 @@ leaderCluster(const std::vector<FeatureVector> &points,
         }
     }
     out.k = leader_index.size();
-    runtime_detail::noteLeaderScan(norm_rejects, full_distances);
+    g_norm_rejects.add(norm_rejects);
+    g_distances.add(full_distances);
 
     auto recompute_centroids = [&]() {
         out.centroids.assign(out.k, FeatureVector());

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "runtime/counters.hh"
+#include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -22,7 +22,7 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
 {
     GWS_ASSERT(!config.scales.empty(), "empty DVFS sweep");
     config.power.validate();
-    ScopedRegion region("core.runDvfsStudy");
+    obs::SpanScope span("core.runDvfsStudy");
 
     // --- compute once: flatten parent and subset work ---------------------
     // DRAM traffic is clock-independent, so both totals come straight

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "runtime/counters.hh"
+#include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -15,7 +15,7 @@ runFreqScaling(const Trace &trace, const WorkloadSubset &subset,
     GWS_ASSERT(!config.scales.empty(), "empty clock sweep");
     GWS_ASSERT(config.baselineIndex < config.scales.size(),
                "baseline index out of range");
-    ScopedRegion region("core.runFreqScaling");
+    obs::SpanScope span("core.runFreqScaling");
 
     FreqScalingResult result;
     result.scales = config.scales;

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "gpusim/draw_work_cache.hh"
-#include "runtime/counters.hh"
+#include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -74,7 +74,7 @@ runPathfinding(const Trace &trace, const WorkloadSubset &subset,
 {
     GWS_ASSERT(designs.size() >= 2,
                "pathfinding needs at least two design points");
-    ScopedRegion region("core.runPathfinding");
+    obs::SpanScope span("core.runPathfinding");
 
     const std::vector<double> parent_costs = parentCosts(trace, designs);
 

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "runtime/counters.hh"
+#include "obs/trace.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 
@@ -71,7 +71,7 @@ toString(PhaseMethod method)
 WorkloadSubset
 buildWorkloadSubset(const Trace &trace, const SubsetConfig &config)
 {
-    ScopedRegion region("core.buildWorkloadSubset");
+    obs::SpanScope span("core.buildWorkloadSubset");
     WorkloadSubset subset;
     subset.parentName = trace.name();
     subset.prediction = config.draws.prediction;

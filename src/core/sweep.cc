@@ -3,14 +3,22 @@
 #include <algorithm>
 
 #include "gpusim/draw_work_cache.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "partition/shards.hh"
-#include "runtime/counters.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 
 namespace gws {
 
 namespace {
+
+obs::Counter &g_sweep_configs =
+    obs::metricsRegistry().counter("core.sweep.configs");
+obs::Counter &g_draws_retimed =
+    obs::metricsRegistry().counter("core.sweep.drawsRetimed");
+obs::Counter &g_work_trace_draws =
+    obs::metricsRegistry().counter("gpusim.workTrace.draws");
 
 constexpr std::size_t stageIdx(Stage s)
 {
@@ -425,8 +433,7 @@ SweepResult
 retimeAll(const WorkTrace &trace, std::span<const GpuConfig> configs,
           const SweepConfig &config)
 {
-    ScopedRegion region("core.retimeAll");
-    const std::uint64_t t0 = runtime_detail::nowNs();
+    obs::SpanScope span("core.retimeAll");
     GWS_ASSERT(!configs.empty(), "retimeAll with no configs");
     for (const GpuConfig &cfg : configs)
         GWS_ASSERT(capacityConfigHash(cfg) == trace.capacityKey(),
@@ -480,9 +487,8 @@ retimeAll(const WorkTrace &trace, std::span<const GpuConfig> configs,
         }
     }
 
-    runtime_detail::noteSweepPass(
-        n_cfg, n_cfg * trace.drawCount(),
-        runtime_detail::nowNs() - t0);
+    g_sweep_configs.add(n_cfg);
+    g_draws_retimed.add(n_cfg * trace.drawCount());
     return result;
 }
 
@@ -490,8 +496,7 @@ WorkTrace
 buildSubsetWorkTrace(const Trace &trace, const WorkloadSubset &subset,
                      const GpuSimulator &simulator)
 {
-    ScopedRegion region("core.buildSubsetWorkTrace");
-    const std::uint64_t t0 = runtime_detail::nowNs();
+    obs::SpanScope span("core.buildSubsetWorkTrace");
 
     std::vector<std::size_t> sizes;
     sizes.reserve(subset.units.size());
@@ -508,8 +513,7 @@ buildSubsetWorkTrace(const Trace &trace, const WorkloadSubset &subset,
                                  trace, frame.draws()[rep]));
     });
 
-    runtime_detail::noteWorkTraceBuild(wt.drawCount(),
-                                       runtime_detail::nowNs() - t0);
+    g_work_trace_draws.add(wt.drawCount());
     return wt;
 }
 

@@ -197,13 +197,14 @@ PcaTransform::fit(const std::vector<FeatureVector> &sample,
             t.basis[j][d] = eig.vectors[j][d] * w;
     }
 
+    // Components kept over all fits: their mean is this over `fits`.
     auto &registry = obs::metricsRegistry();
     static obs::Counter &fits =
         registry.counter("gws.features.pca.fits");
-    static obs::Histogram &kept =
-        registry.histogram("gws.features.pca.components");
+    static obs::Counter &kept =
+        registry.counter("gws.features.pca.components");
     fits.increment();
-    kept.record(keep);
+    kept.add(keep);
     return t;
 }
 

@@ -23,8 +23,9 @@
  * in each of its 64 shards; an insert that finds its shard full
  * clears that shard first, so a working set larger than the cap keeps
  * caching its recent draws. GpuSimulator::computeDrawWorkUncached is
- * the memo-off path. Hit/miss totals feed the runtime counters
- * (`--runtime-stats`).
+ * the memo-off path. GpuSimulator::computeDrawWork counts hits and
+ * misses in the `gpusim.drawCache.hits` / `gpusim.drawCache.misses`
+ * registry counters (`--runtime-stats`).
  */
 
 #ifndef GWS_GPUSIM_DRAW_WORK_CACHE_HH

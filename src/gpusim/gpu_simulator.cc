@@ -3,12 +3,22 @@
 #include <algorithm>
 
 #include "gpusim/draw_work_cache.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "partition/shards.hh"
-#include "runtime/counters.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 
 namespace gws {
+
+namespace {
+
+obs::Counter &g_draw_cache_hits =
+    obs::metricsRegistry().counter("gpusim.drawCache.hits");
+obs::Counter &g_draw_cache_misses =
+    obs::metricsRegistry().counter("gpusim.drawCache.misses");
+
+} // namespace
 
 const char *
 toString(Stage stage)
@@ -78,12 +88,12 @@ GpuSimulator::computeDrawWork(const Trace &trace,
     const DrawWorkKey key = drawWorkKey(trace, draw, capacityKey);
     DrawWork work;
     if (drawWorkCacheLookup(key, &work)) {
-        runtime_detail::noteDrawCache(1, 0);
+        g_draw_cache_hits.increment();
         return work;
     }
     work = computeDrawWorkUncached(trace, draw);
     drawWorkCacheInsert(key, work);
-    runtime_detail::noteDrawCache(0, 1);
+    g_draw_cache_misses.increment();
     return work;
 }
 
@@ -212,7 +222,7 @@ GpuSimulator::simulateTrace(const Trace &trace) const
     // they run in order. Either way frame costs land at their index
     // and the totals are reduced in frame order afterwards, so every
     // thread count gives the same bits.
-    ScopedRegion region("gpusim.simulateTrace");
+    obs::SpanScope span("gpusim.simulateTrace");
     TraceCost tc;
     const std::size_t n = trace.frameCount();
     if (n > 1 && resolvedThreadCount() > 1) {

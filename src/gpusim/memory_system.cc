@@ -4,7 +4,7 @@
 #include <mutex>
 
 #include "gpusim/access_stream.hh"
-#include "runtime/counters.hh"
+#include "obs/metrics.hh"
 
 namespace gws {
 
@@ -29,6 +29,11 @@ texBindKey(const Trace &trace, const DrawCall &draw)
         key = mix64(key ^ id);
     return key;
 }
+
+obs::Counter &g_tex_bind_hits =
+    obs::metricsRegistry().counter("gpusim.texBind.hits");
+obs::Counter &g_tex_bind_misses =
+    obs::metricsRegistry().counter("gpusim.texBind.misses");
 
 } // namespace
 
@@ -60,7 +65,7 @@ MemorySystem::boundTextureScan(const Trace &trace,
         std::shared_lock<std::shared_mutex> lock(texBindMutex);
         const auto it = texBindMemo.find(key);
         if (it != texBindMemo.end()) {
-            runtime_detail::noteTexBindScan(1, 0);
+            g_tex_bind_hits.increment();
             return it->second;
         }
     }
@@ -71,7 +76,7 @@ MemorySystem::boundTextureScan(const Trace &trace,
         scan.boundBytes += tex.sizeBytes();
         scan.bytesPerTexelSum += tex.bytesPerTexel;
     }
-    runtime_detail::noteTexBindScan(0, 1);
+    g_tex_bind_misses.increment();
 
     std::unique_lock<std::shared_mutex> lock(texBindMutex);
     texBindMemo.emplace(key, scan);

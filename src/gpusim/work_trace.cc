@@ -1,7 +1,8 @@
 #include "gpusim/work_trace.hh"
 
 #include "gpusim/draw_work_cache.hh"
-#include "runtime/counters.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
 
@@ -16,6 +17,9 @@ paddedStride(std::size_t n)
     constexpr std::size_t per = WorkTrace::columnAlignment / sizeof(double);
     return (n + per - 1) / per * per;
 }
+
+obs::Counter &g_work_trace_draws =
+    obs::metricsRegistry().counter("gpusim.workTrace.draws");
 
 } // namespace
 
@@ -94,8 +98,7 @@ WorkTrace::totalDramBytes() const
 WorkTrace
 buildWorkTrace(const Trace &trace, const GpuSimulator &simulator)
 {
-    ScopedRegion region("gpusim.buildWorkTrace");
-    const std::uint64_t t0 = runtime_detail::nowNs();
+    obs::SpanScope span("gpusim.buildWorkTrace");
 
     std::vector<std::size_t> sizes;
     sizes.reserve(trace.frameCount());
@@ -110,8 +113,7 @@ buildWorkTrace(const Trace &trace, const GpuSimulator &simulator)
             wt.setRow(row++, simulator.computeDrawWork(trace, draw));
     });
 
-    runtime_detail::noteWorkTraceBuild(wt.drawCount(),
-                                       runtime_detail::nowNs() - t0);
+    g_work_trace_draws.add(wt.drawCount());
     return wt;
 }
 

@@ -155,8 +155,8 @@ class WorkTrace
  * one group per frame, rows in submission order. Frames are priced in
  * parallel (one frame per chunk, like simulateTrace) through
  * GpuSimulator::computeDrawWork, so repeated draws hit the memo cache.
- * Build time and row count feed the runtime counters
- * (`--runtime-stats`).
+ * Rows built add to the `gpusim.workTrace.draws` counter; the build
+ * time is the `gpusim.buildWorkTrace` span (`--runtime-stats`).
  */
 WorkTrace buildWorkTrace(const Trace &trace, const GpuSimulator &simulator);
 

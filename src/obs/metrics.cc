@@ -1,7 +1,5 @@
 #include "obs/metrics.hh"
 
-#include <bit>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -21,59 +19,8 @@ toString(MetricType type)
         return "counter";
       case MetricType::Gauge:
         return "gauge";
-      case MetricType::Histogram:
-        return "histogram";
     }
     GWS_PANIC("unknown metric type ", static_cast<int>(type));
-}
-
-std::size_t
-Histogram::bucketIndex(std::uint64_t value)
-{
-    return static_cast<std::size_t>(std::bit_width(value));
-}
-
-std::uint64_t
-Histogram::bucketLowerBound(std::size_t i)
-{
-    GWS_ASSERT(i < numBuckets, "bucket index out of range: ", i);
-    return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
-}
-
-std::uint64_t
-Histogram::bucketUpperBound(std::size_t i)
-{
-    GWS_ASSERT(i < numBuckets, "bucket index out of range: ", i);
-    if (i == 0)
-        return 0;
-    if (i == numBuckets - 1)
-        return UINT64_MAX;
-    return (std::uint64_t{1} << i) - 1;
-}
-
-void
-Histogram::record(std::uint64_t value)
-{
-    buckets[bucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    totalSum.fetch_add(value, std::memory_order_relaxed);
-    observations.fetch_add(1, std::memory_order_relaxed);
-}
-
-double
-Histogram::mean() const
-{
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0
-                  : static_cast<double>(sum()) / static_cast<double>(n);
-}
-
-void
-Histogram::reset()
-{
-    for (auto &b : buckets)
-        b.store(0, std::memory_order_relaxed);
-    totalSum.store(0, std::memory_order_relaxed);
-    observations.store(0, std::memory_order_relaxed);
 }
 
 /** One registered metric: its type tag plus the live instance. */
@@ -82,7 +29,6 @@ struct MetricsRegistry::Entry
     MetricType type;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
 };
 
 /** Name -> entry map behind one mutex (lookups only; updates are
@@ -118,9 +64,6 @@ MetricsRegistry::entryFor(const std::string &name, MetricType type)
           case MetricType::Gauge:
             entry.gauge.reset(new Gauge);
             break;
-          case MetricType::Histogram:
-            entry.histogram.reset(new Histogram);
-            break;
         }
     }
     GWS_ASSERT(entry.type == type, "metric '", name,
@@ -139,12 +82,6 @@ Gauge &
 MetricsRegistry::gauge(const std::string &name)
 {
     return *entryFor(name, MetricType::Gauge).gauge;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    return *entryFor(name, MetricType::Histogram).histogram;
 }
 
 std::vector<MetricSnapshot>
@@ -170,18 +107,6 @@ MetricsRegistry::snapshotPrefix(const std::string &prefix) const
             break;
           case MetricType::Gauge:
             row.gaugeValue = entry.gauge->value();
-            break;
-          case MetricType::Histogram:
-            row.histCount = entry.histogram->count();
-            row.histSum = entry.histogram->sum();
-            for (std::size_t b = 0; b < Histogram::numBuckets; ++b) {
-                const std::uint64_t n = entry.histogram->bucketCount(b);
-                if (n == 0)
-                    continue;
-                row.buckets.push_back(
-                    {Histogram::bucketLowerBound(b),
-                     Histogram::bucketUpperBound(b), n});
-            }
             break;
         }
         out.push_back(std::move(row));
@@ -209,51 +134,8 @@ MetricsRegistry::resetPrefix(const std::string &prefix)
           case MetricType::Gauge:
             entry.gauge->reset();
             break;
-          case MetricType::Histogram:
-            entry.histogram->reset();
-            break;
         }
     }
-}
-
-double
-snapshotQuantile(const MetricSnapshot &row, double q)
-{
-    const std::uint64_t n = row.histCount;
-    if (n == 0)
-        return 0.0;
-    q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-
-    // Nearest rank, 1-based: the smallest r with r >= q * n.
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(n)));
-    if (rank < 1)
-        rank = 1;
-    if (rank > n)
-        rank = n;
-
-    std::uint64_t cumulative = 0;
-    for (const MetricSnapshot::Bucket &b : row.buckets) {
-        if (cumulative + b.count < rank) {
-            cumulative += b.count;
-            continue;
-        }
-        // The rank'th observation lies in this bucket; place it at
-        // its midpoint position among the bucket's occupants. The
-        // open-ended top bucket interpolates over one octave.
-        const std::uint64_t hi =
-            b.hi == UINT64_MAX && b.lo > 0 ? b.lo * 2 - 1 : b.hi;
-        const double inBucket =
-            (static_cast<double>(rank - cumulative) - 0.5) /
-            static_cast<double>(b.count);
-        return static_cast<double>(b.lo) +
-               inBucket * static_cast<double>(hi - b.lo);
-    }
-    // Snapshot counts disagree with the bucket list (torn concurrent
-    // read); report the top of the recorded range.
-    return row.buckets.empty()
-               ? 0.0
-               : static_cast<double>(row.buckets.back().hi);
 }
 
 std::string
@@ -311,27 +193,6 @@ MetricsRegistry::toJson() const
           case MetricType::Gauge:
             oss << "\"value\": " << row.gaugeValue << "}";
             break;
-          case MetricType::Histogram: {
-            oss << "\"count\": " << row.histCount
-                << ", \"sum\": " << row.histSum;
-            char quant[96];
-            std::snprintf(quant, sizeof(quant),
-                          ", \"p50\": %.3f, \"p95\": %.3f, "
-                          "\"p99\": %.3f",
-                          snapshotQuantile(row, 0.50),
-                          snapshotQuantile(row, 0.95),
-                          snapshotQuantile(row, 0.99));
-            oss << quant << ", \"buckets\": [";
-            for (std::size_t b = 0; b < row.buckets.size(); ++b) {
-                if (b > 0)
-                    oss << ", ";
-                oss << "{\"lo\": " << row.buckets[b].lo
-                    << ", \"hi\": " << row.buckets[b].hi
-                    << ", \"count\": " << row.buckets[b].count << "}";
-            }
-            oss << "]}";
-            break;
-          }
         }
     }
     oss << "\n  ]\n}\n";

@@ -1,22 +1,18 @@
 /**
  * @file
- * Unified metrics registry: typed Counter / Gauge / Histogram metrics
- * registered by name, one process-global registry, one JSON export
- * schema (`gws.metrics.v1`). This replaces the hand-grown
- * field-per-stat pattern of RuntimeCounters — new stats register
- * themselves here and show up in `--metrics-out` and the
- * `--runtime-stats` report without touching a central struct.
+ * Unified metrics registry: typed Counter / Gauge metrics registered
+ * by name, one process-global registry, one JSON export schema
+ * (`gws.metrics.v1`). A stat lives next to the code that bumps it and
+ * shows up in `--metrics-out` and the `--runtime-stats` report without
+ * touching a central struct. Time spent in a layer is not a metric:
+ * the span tracer (trace.hh) times layers.
  *
  * Hot-path contract: metric *lookup* (by name) takes the registry
- * mutex and is expected to happen once, at first use, behind a
+ * mutex and is expected to happen once — at load time, as a
+ * namespace-scope handle in the owning .cc, or at first use behind a
  * function-local static; metric *updates* are single relaxed atomic
  * operations and are safe from any thread. Handles returned by the
  * registry are stable for the life of the process.
- *
- * Histograms are log2-bucketed (bucket i covers [2^(i-1), 2^i - 1],
- * bucket 0 is the exact value 0), sized for nanosecond magnitudes but
- * usable for any uint64 quantity; exact sum and count ride along so
- * means stay precise.
  */
 
 #ifndef GWS_OBS_METRICS_HH
@@ -31,7 +27,7 @@ namespace gws {
 namespace obs {
 
 /** Kind of a registered metric (drives the export schema). */
-enum class MetricType { Counter, Gauge, Histogram };
+enum class MetricType { Counter, Gauge };
 
 /** Printable name of a metric type ("counter", ...). */
 const char *toString(MetricType type);
@@ -101,64 +97,6 @@ class Gauge
     std::atomic<double> current{0.0};
 };
 
-/** Log2-bucketed distribution with exact sum and count. */
-class Histogram
-{
-  public:
-    /** Bucket slots: value 0, then one per power of two up to 2^63. */
-    static constexpr std::size_t numBuckets = 65;
-
-    /** Bucket a value lands in: 0 for 0, else floor(log2 v) + 1. */
-    static std::size_t bucketIndex(std::uint64_t value);
-
-    /** Smallest value of bucket `i` (0, 1, 2, 4, 8, ...). */
-    static std::uint64_t bucketLowerBound(std::size_t i);
-
-    /** Largest value of bucket `i` (0, 1, 3, 7, 15, ...). */
-    static std::uint64_t bucketUpperBound(std::size_t i);
-
-    /** Record one observation. */
-    void record(std::uint64_t value);
-
-    /** Observations recorded. */
-    std::uint64_t
-    count() const
-    {
-        return observations.load(std::memory_order_relaxed);
-    }
-
-    /** Exact sum of all observations. */
-    std::uint64_t
-    sum() const
-    {
-        return totalSum.load(std::memory_order_relaxed);
-    }
-
-    /** Mean observation (0.0 when empty). */
-    double mean() const;
-
-    /** Observations that landed in bucket `i`. */
-    std::uint64_t
-    bucketCount(std::size_t i) const
-    {
-        return buckets[i].load(std::memory_order_relaxed);
-    }
-
-    /** Zero every bucket, the sum, and the count (registry reset). */
-    void reset();
-
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
-
-  private:
-    friend class MetricsRegistry;
-    Histogram() = default;
-
-    std::atomic<std::uint64_t> buckets[numBuckets] = {};
-    std::atomic<std::uint64_t> totalSum{0};
-    std::atomic<std::uint64_t> observations{0};
-};
-
 /** One row of a registry snapshot (export / report plumbing). */
 struct MetricSnapshot
 {
@@ -173,30 +111,7 @@ struct MetricSnapshot
 
     /** Gauge value (gauges only). */
     double gaugeValue = 0.0;
-
-    /** Histogram count / sum (histograms only). */
-    std::uint64_t histCount = 0;
-    std::uint64_t histSum = 0;
-
-    /** Non-empty histogram buckets as (lowerBound, upperBound, count). */
-    struct Bucket
-    {
-        std::uint64_t lo = 0;
-        std::uint64_t hi = 0;
-        std::uint64_t count = 0;
-    };
-    std::vector<Bucket> buckets;
 };
-
-/**
- * Quantile estimate from a histogram snapshot's log2 buckets: the
- * bucket holding the nearest-rank observation, interpolated linearly
- * at the rank's midpoint position within the bucket. Exact up to the
- * bucket's width — the estimate always lands in the same log2 bucket
- * as the true nearest-rank percentile of the raw samples. `q` is
- * clamped to [0, 1]; an empty histogram yields 0.0.
- */
-double snapshotQuantile(const MetricSnapshot &row, double q);
 
 /**
  * The process-global name -> metric table. Names are registered on
@@ -211,9 +126,6 @@ class MetricsRegistry
 
     /** Get or create the gauge `name`. */
     Gauge &gauge(const std::string &name);
-
-    /** Get or create the histogram `name`. */
-    Histogram &histogram(const std::string &name);
 
     /** Snapshot every metric, sorted by name. */
     std::vector<MetricSnapshot> snapshot() const;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/mem.hh"
 #include "obs/metrics.hh"
@@ -17,10 +18,6 @@
 namespace gws {
 namespace obs {
 
-namespace {
-
-/** Monotonic now() in ns (steady clock; obs owns its own copy so the
- *  obs layer stays below the runtime). */
 std::uint64_t
 nowNs()
 {
@@ -30,6 +27,8 @@ nowNs()
             .count());
 }
 
+namespace {
+
 /** An open span on a thread's stack. */
 struct OpenSpan
 {
@@ -37,6 +36,14 @@ struct OpenSpan
     std::uint64_t startNs = 0;
     std::uint64_t childNs = 0;
     std::uint64_t flowId = 0;
+};
+
+/** Closed spans of one name on one thread. */
+struct SpanTotals
+{
+    std::uint64_t count = 0;
+    std::uint64_t totalNs = 0;
+    std::uint64_t selfNs = 0;
 };
 
 /**
@@ -49,6 +56,9 @@ struct ThreadBuffer
     std::uint32_t tid = 0;
     std::vector<TraceEvent> events;
     std::vector<OpenSpan> stack;
+
+    /** Every span this thread closed, folded by name (never dropped). */
+    std::unordered_map<std::string, SpanTotals> folds;
 
     /** Oldest retained event once `events` has wrapped as a ring. */
     std::size_t head = 0;
@@ -102,6 +112,15 @@ bufferRegistry()
 
 /** Trace epoch: event timestamps are relative to the last traceBegin. */
 std::atomic<std::uint64_t> g_trace_t0{0};
+
+/** False while a rollup-only recording runs: spans fold, no event stays. */
+std::atomic<bool> g_retain_events{true};
+
+bool
+retainingEvents()
+{
+    return g_retain_events.load(std::memory_order_relaxed);
+}
 
 std::atomic<std::uint64_t> g_next_flow_id{1};
 
@@ -171,15 +190,23 @@ spanEnd()
     const std::uint64_t end = nowNs();
     const std::uint64_t dur =
         end >= span.startNs ? end - span.startNs : 0;
+    const std::uint64_t self = dur >= span.childNs ? dur - span.childNs : 0;
     if (!buf.stack.empty())
         buf.stack.back().childNs += dur;
+
+    SpanTotals &fold = buf.folds[span.name];
+    ++fold.count;
+    fold.totalNs += dur;
+    fold.selfNs += self;
+    if (!retainingEvents())
+        return;
 
     TraceEvent ev;
     ev.name = std::move(span.name);
     ev.phase = TracePhase::Complete;
     ev.startNs = sinceT0(span.startNs);
     ev.durationNs = dur;
-    ev.selfNs = dur >= span.childNs ? dur - span.childNs : 0;
+    ev.selfNs = self;
     ev.depth = static_cast<std::uint32_t>(buf.stack.size());
     ev.tid = buf.tid;
     ev.flowId = span.flowId;
@@ -189,7 +216,7 @@ spanEnd()
 } // namespace trace_detail
 
 void
-traceBegin()
+traceBegin(TraceRetention retention)
 {
     trace_detail::enabled.store(false, std::memory_order_relaxed);
     // Touch the cap while tracing is off: its first read parses
@@ -203,8 +230,11 @@ traceBegin()
     for (auto &buf : reg.buffers) {
         buf->events.clear();
         buf->stack.clear();
+        buf->folds.clear();
         buf->head = 0;
     }
+    g_retain_events.store(retention == TraceRetention::Events,
+                          std::memory_order_relaxed);
     g_trace_t0.store(nowNs(), std::memory_order_relaxed);
     trace_detail::enabled.store(true, std::memory_order_relaxed);
 }
@@ -224,7 +254,7 @@ traceNewFlowId()
 void
 traceFlowStart(const char *name, std::uint64_t flowId)
 {
-    if (!traceEnabled())
+    if (!traceEnabled() || !retainingEvents())
         return;
     ThreadBuffer &buf = threadBuffer();
     TraceEvent ev;
@@ -240,7 +270,7 @@ traceFlowStart(const char *name, std::uint64_t flowId)
 void
 traceInstant(const char *name, const std::string &detail)
 {
-    if (!traceEnabled())
+    if (!traceEnabled() || !retainingEvents())
         return;
     ThreadBuffer &buf = threadBuffer();
     TraceEvent ev;
@@ -299,14 +329,17 @@ std::vector<SpanRollup>
 traceRollup()
 {
     std::map<std::string, SpanRollup> by_name;
-    for (const TraceEvent &ev : traceSnapshot()) {
-        if (ev.phase != TracePhase::Complete)
-            continue;
-        SpanRollup &r = by_name[ev.name];
-        r.name = ev.name;
-        ++r.count;
-        r.totalNs += ev.durationNs;
-        r.selfNs += ev.selfNs;
+    {
+        BufferRegistry &reg = bufferRegistry();
+        std::lock_guard<std::mutex> lock(reg.mutex);
+        for (const auto &buf : reg.buffers)
+            for (const auto &[name, fold] : buf->folds) {
+                SpanRollup &r = by_name[name];
+                r.name = name;
+                r.count += fold.count;
+                r.totalNs += fold.totalNs;
+                r.selfNs += fold.selfNs;
+            }
     }
     std::vector<SpanRollup> out;
     out.reserve(by_name.size());

@@ -6,6 +6,10 @@
  * thread-local appends — no locks, no atomics on the hot path beyond
  * the single enabled-flag load), nested via a thread-local span stack
  * that also accumulates child time so every span knows its self time.
+ * Every closed span is also folded (count, total, self) into its
+ * thread's per-name table, so traceRollup() is exact however many
+ * events the bounded buffers drop, and a rollup-only recording keeps
+ * the per-layer account without retaining any event.
  * Cross-thread fan-outs (parallelFor) are stitched together with flow
  * events: the submitting thread emits a flow start, every chunk span
  * carries the flow id, and the exporter emits the matching flow
@@ -14,8 +18,8 @@
  *
  * Lifecycle contract: the tracer is disabled by default; a disabled
  * SpanScope is one relaxed atomic load. traceBegin() / traceEnd()
- * toggle recording. Snapshot, export, and traceBegin's buffer clear
- * require quiescence — call them only when no parallel work is in
+ * toggle recording. Snapshot, rollup, export, and traceBegin's buffer
+ * clear require quiescence — call them only when no parallel work is in
  * flight (the loop-completion handshake in parallelChunks orders all
  * worker-side writes before the submitting thread returns, which is
  * what makes the quiescent read race-free).
@@ -56,8 +60,17 @@ traceEnabled()
     return trace_detail::enabled.load(std::memory_order_relaxed);
 }
 
-/** Clear all buffers and start recording. Requires quiescence. */
-void traceBegin();
+/** What a recording keeps besides the per-name span rollup. */
+enum class TraceRetention : std::uint8_t {
+    Events,     ///< every event too (traceSnapshot, writeChromeTrace)
+    RollupOnly, ///< nothing else: memory stays flat however long the run
+};
+
+/**
+ * Clear all buffers and rollups and start recording. Requires
+ * quiescence.
+ */
+void traceBegin(TraceRetention retention = TraceRetention::Events);
 
 /** Stop recording (already-recorded spans stay exportable). */
 void traceEnd();
@@ -156,6 +169,12 @@ class SpanScope
     bool active;
 };
 
+/**
+ * Monotonic steady-clock time in ns: the one clock the library times
+ * with (spans, the pool's idle and wait counters, bench wall time).
+ */
+std::uint64_t nowNs();
+
 /** Allocate a fresh flow id (never 0). */
 std::uint64_t traceNewFlowId();
 
@@ -205,7 +224,12 @@ struct SpanRollup
     std::uint64_t selfNs = 0;
 };
 
-/** Rollup of all Complete spans, sorted by descending self time. */
+/**
+ * Every span closed since traceBegin(), by name, merged across
+ * threads and sorted by descending self time. Exact: it is folded as
+ * spans close, so neither a rollup-only recording nor the ring's
+ * dropped events lose anything. Requires quiescence.
+ */
 std::vector<SpanRollup> traceRollup();
 
 /** Human-readable rollup table (empty string when nothing traced). */

@@ -2,7 +2,7 @@
 
 #include "cluster/leader.hh"
 #include "features/extractor.hh"
-#include "runtime/counters.hh"
+#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace gws {
@@ -15,7 +15,7 @@ detectPhasesByFeatures(const Trace &trace,
                "feature-phase detection on empty trace");
     GWS_ASSERT(config.intervalFrames >= 1,
                "interval length must be >= 1");
-    ScopedRegion region("phase.detectByFeatures");
+    obs::SpanScope span("phase.detectByFeatures");
 
     const std::size_t universe = trace.shaders().size();
     const FeatureExtractor extractor(trace);

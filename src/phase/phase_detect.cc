@@ -1,7 +1,6 @@
 #include "phase/phase_detect.hh"
 
-#include "runtime/counters.hh"
-
+#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace gws {
@@ -52,7 +51,7 @@ detectPhases(const Trace &trace, const PhaseConfig &config)
     GWS_ASSERT(config.similarityThreshold > 0.0 &&
                    config.similarityThreshold <= 1.0,
                "similarity threshold out of (0,1]");
-    ScopedRegion region("phase.detect");
+    obs::SpanScope span("phase.detect");
 
     const std::size_t universe = trace.shaders().size();
     PhaseTimeline timeline;

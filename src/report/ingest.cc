@@ -159,28 +159,10 @@ readMetricsText(const std::string &text)
         MetricRow row;
         row.name = m.at("name").string();
         row.type = m.at("type").string();
-        if (row.type == "counter" || row.type == "gauge") {
-            row.value = m.at("value").number();
-        } else if (row.type == "histogram") {
-            row.count = asUint(m.at("count"), "histogram count");
-            row.sum = m.at("sum").number();
-            if (const JsonValue *q = m.find("p50"))
-                row.p50 = q->number();
-            if (const JsonValue *q = m.find("p95"))
-                row.p95 = q->number();
-            if (const JsonValue *q = m.find("p99"))
-                row.p99 = q->number();
-            for (const JsonValue &b : m.at("buckets").array()) {
-                MetricRow::Bucket bucket;
-                bucket.lo = asUint(b.at("lo"), "bucket lo");
-                bucket.hi = asUint(b.at("hi"), "bucket hi");
-                bucket.count = asUint(b.at("count"), "bucket count");
-                row.buckets.push_back(bucket);
-            }
-        } else {
+        if (row.type != "counter" && row.type != "gauge")
             throw ReportError("report: unknown metric type \"" +
                               row.type + "\" for " + row.name);
-        }
+        row.value = m.at("value").number();
         out.rows.push_back(std::move(row));
     }
     return out;

@@ -74,35 +74,14 @@ TraceData readPerfettoTraceFile(const std::string &path);
 /** One metric in a gws.metrics.v1 snapshot. */
 struct MetricRow
 {
-    struct Bucket
-    {
-        std::uint64_t lo = 0;
-        std::uint64_t hi = 0;
-        std::uint64_t count = 0;
-    };
-
     /** Registered (dotted) name. */
     std::string name;
 
-    /** "counter", "gauge", or "histogram". */
+    /** "counter" or "gauge". */
     std::string type;
 
     /** Counter / gauge payload. */
     double value = 0.0;
-
-    /** Histogram observation count. */
-    std::uint64_t count = 0;
-
-    /** Histogram observation sum. */
-    double sum = 0.0;
-
-    /** Exporter-side quantile estimates. */
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-
-    /** Non-empty log2 buckets. */
-    std::vector<Bucket> buckets;
 };
 
 /** A parsed metrics snapshot. */

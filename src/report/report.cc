@@ -68,24 +68,11 @@ metricsTable(std::ostringstream &os, const MetricsData &metrics,
     if (rows.empty())
         return false;
     os << "<table>\n<tr><th>metric</th><th>type</th>"
-          "<th>value</th><th>p50</th><th>p95</th><th>p99</th>"
-          "</tr>\n";
-    for (const MetricRow *row : rows) {
+          "<th>value</th></tr>\n";
+    for (const MetricRow *row : rows)
         os << "<tr><td class=\"name\">" << htmlEscape(row->name)
-           << "</td><td>" << htmlEscape(row->type) << "</td>";
-        if (row->type == "histogram") {
-            os << "<td>" << humanCount(
-                      static_cast<double>(row->count))
-               << " obs</td><td>" << formatDouble(row->p50, 1)
-               << "</td><td>" << formatDouble(row->p95, 1)
-               << "</td><td>" << formatDouble(row->p99, 1)
-               << "</td>";
-        } else {
-            os << "<td>" << formatDouble(row->value, 3)
-               << "</td><td></td><td></td><td></td>";
-        }
-        os << "</tr>\n";
-    }
+           << "</td><td>" << htmlEscape(row->type) << "</td><td>"
+           << formatDouble(row->value, 3) << "</td></tr>\n";
     os << "</table>\n";
     return true;
 }

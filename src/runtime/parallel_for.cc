@@ -7,13 +7,32 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "runtime/counters.hh"
 #include "runtime/thread_pool.hh"
 
 namespace gws {
 
 namespace {
+
+obs::Counter &g_parallel_regions =
+    obs::metricsRegistry().counter("runtime.parallelRegions");
+obs::Counter &g_inline_regions =
+    obs::metricsRegistry().counter("runtime.inlineRegions");
+obs::Counter &g_chunks_executed =
+    obs::metricsRegistry().counter("runtime.chunksExecuted");
+obs::Counter &g_tasks_submitted =
+    obs::metricsRegistry().counter("runtime.tasksSubmitted");
+obs::Counter &g_submitter_wait_ns =
+    obs::metricsRegistry().counter("runtime.submitterWaitNs");
+
+/** Count a loop that ran inline with `chunks` chunks. */
+void
+noteInlineRegion(std::size_t chunks)
+{
+    g_inline_regions.increment();
+    g_chunks_executed.add(chunks);
+}
 
 /**
  * State of one fan-out, heap-allocated because helper tasks can be
@@ -89,7 +108,9 @@ runFanOut(const std::shared_ptr<FanOut> &fan)
     // is the remaining worker.
     const std::size_t helpers =
         std::min(resolvedThreadCount(), fan->chunks) - 1;
-    runtime_detail::noteParallelRegion(fan->chunks, helpers);
+    g_parallel_regions.increment();
+    g_chunks_executed.add(fan->chunks);
+    g_tasks_submitted.add(helpers);
     ThreadPool &pool = globalThreadPool();
     for (std::size_t h = 0; h < helpers; ++h)
         pool.submit([fan] { fan->drain(); });
@@ -99,12 +120,11 @@ runFanOut(const std::shared_ptr<FanOut> &fan)
     {
         std::unique_lock<std::mutex> lock(fan->mutex);
         if (fan->completed != fan->chunks) {
-            const std::uint64_t t0 = runtime_detail::nowNs();
+            const std::uint64_t t0 = obs::nowNs();
             fan->allDone.wait(lock, [&fan] {
                 return fan->completed == fan->chunks;
             });
-            runtime_detail::noteSubmitterWait(runtime_detail::nowNs() -
-                                              t0);
+            g_submitter_wait_ns.add(obs::nowNs() - t0);
         }
     }
 
@@ -144,7 +164,7 @@ parallelChunks(std::size_t begin, std::size_t end, std::size_t grain,
         // Inline path: same chunk structure, same execution order as
         // the chunk-index-ordered parallel reduction, so results are
         // identical to the fanned-out path by construction.
-        runtime_detail::noteInlineRegion(chunks);
+        noteInlineRegion(chunks);
         for (std::size_t c = 0; c < chunks; ++c) {
             const std::size_t b = begin + c * g;
             body(b, std::min(end, b + g));
@@ -173,7 +193,7 @@ parallelShards(const std::vector<std::size_t> &bounds,
     if (threads <= 1 || chunks <= 1 || ThreadPool::onWorkerThread()) {
         // Inline path: same shard structure in ascending order, so
         // results match the fanned-out path by construction.
-        runtime_detail::noteInlineRegion(chunks);
+        noteInlineRegion(chunks);
         for (std::size_t c = 0; c < chunks; ++c)
             body(bounds[c], bounds[c + 1]);
         return;

@@ -1,13 +1,12 @@
 /**
  * @file
  * Umbrella header for the parallel execution runtime: configuration,
- * the thread pool, the parallel loop primitives, and the counters.
+ * the thread pool, and the parallel loop primitives.
  */
 
 #ifndef GWS_RUNTIME_RUNTIME_HH
 #define GWS_RUNTIME_RUNTIME_HH
 
-#include "runtime/counters.hh"
 #include "runtime/parallel_for.hh"
 #include "runtime/runtime_config.hh"
 #include "runtime/thread_pool.hh"

@@ -3,7 +3,8 @@
 #include <memory>
 #include <utility>
 
-#include "runtime/counters.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "runtime/runtime_config.hh"
 #include "util/logging.hh"
 
@@ -13,6 +14,9 @@ namespace {
 
 /** Set while the current thread is inside workerMain(). */
 thread_local bool on_worker = false;
+
+obs::Counter &g_worker_idle_ns =
+    obs::metricsRegistry().counter("runtime.workerIdleNs");
 
 } // namespace
 
@@ -87,11 +91,11 @@ ThreadPool::workerMain()
     std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
         if (queue.empty() && !stopping) {
-            const std::uint64_t t0 = runtime_detail::nowNs();
+            const std::uint64_t t0 = obs::nowNs();
             available.wait(lock, [this] {
                 return stopping || !queue.empty();
             });
-            runtime_detail::noteWorkerIdle(runtime_detail::nowNs() - t0);
+            g_worker_idle_ns.add(obs::nowNs() - t0);
         }
         if (queue.empty()) {
             // stopping && drained: exit. (Queued work always runs

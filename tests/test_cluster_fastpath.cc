@@ -23,13 +23,20 @@
 #include "cluster/leader.hh"
 #include "gpusim/draw_work_cache.hh"
 #include "gpusim/gpu_simulator.hh"
-#include "runtime/counters.hh"
+#include "obs/metrics.hh"
 #include "runtime/runtime.hh"
 #include "synth/generator.hh"
 #include "util/rng.hh"
 
 namespace gws {
 namespace {
+
+/** Current value of the registry counter `name`. */
+std::uint64_t
+counter(const char *name)
+{
+    return obs::metricsRegistry().counter(name).value();
+}
 
 /** n random points spread over every feature dimension. */
 std::vector<FeatureVector>
@@ -205,14 +212,15 @@ TEST(KMeansFastPath, BoundsActuallySkipScans)
     for (std::size_t i = 0; i < points.size(); ++i)
         points[i].at(0) += static_cast<double>(i % 4) * 50.0;
 
-    resetRuntimeCounters();
+    obs::metricsRegistry().resetPrefix("cluster.kmeans.");
     KMeansConfig cfg;
     cfg.k = 4;
     cfg.restarts = 1;
     runPath(points, cfg, KMeansPath::Fast);
-    const RuntimeCounters c = runtimeCounters();
-    EXPECT_GT(c.kmeansBoundsSkipped, 0u);
-    EXPECT_GT(c.kmeansBoundsSkipRate(), 0.5);
+    const std::uint64_t skipped = counter("cluster.kmeans.boundsSkipped");
+    const std::uint64_t scanned = counter("cluster.kmeans.fullScans");
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(skipped, scanned);
 }
 
 // ------------------------------------------------------------------ leader --
@@ -315,12 +323,11 @@ TEST(LeaderFastPath, MatchesReferenceImplementation)
 TEST(LeaderFastPath, NormRejectsFire)
 {
     const auto points = randomPoints(800, 23);
-    resetRuntimeCounters();
+    obs::metricsRegistry().resetPrefix("cluster.leader.");
     LeaderConfig cfg;
     cfg.radius = 0.5;
     leaderCluster(points, cfg);
-    const RuntimeCounters c = runtimeCounters();
-    EXPECT_GT(c.leaderNormRejects, 0u);
+    EXPECT_GT(counter("cluster.leader.normRejects"), 0u);
 }
 
 TEST(LeaderFastPath, FirstFitModeIsValidAndCheaper)
@@ -373,15 +380,13 @@ TEST(DrawWorkCache, HitsEqualFreshSimulation)
     const GpuSimulator sim(makeGpuPreset("baseline"));
 
     drawWorkCacheClear();
-    resetRuntimeCounters();
     const TraceCost fresh = sim.simulateTrace(t);
-    const RuntimeCounters after_fresh = runtimeCounters();
+    const std::uint64_t hits_after_fresh = counter("gpusim.drawCache.hits");
 
     const TraceCost memo = sim.simulateTrace(t);
-    const RuntimeCounters after_memo = runtimeCounters();
 
     // Second run is served by the cache…
-    EXPECT_GT(after_memo.drawCacheHits, after_fresh.drawCacheHits);
+    EXPECT_GT(counter("gpusim.drawCache.hits"), hits_after_fresh);
     // …and is bit-identical to the fresh simulation.
     expectSameCost(fresh, memo);
 }

@@ -1,21 +1,21 @@
 /**
  * @file
  * Unit tests for the observability layer: span nesting and self-time
- * accounting, flow links across parallelFor fan-outs, the metrics
- * registry (types, reset scoping, histogram buckets), both JSON
- * exporters (structural validation with a minimal parser, failed
- * writes reported), and the disabled-tracer no-op guarantee.
+ * accounting, the exact per-name rollup (bounded ring and rollup-only
+ * recordings), flow links across parallelFor fan-outs, the metrics
+ * registry (types, reset scoping), both JSON exporters (structural
+ * validation with a minimal parser, failed writes reported), and the
+ * disabled-tracer no-op guarantee.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -404,47 +404,6 @@ TEST_F(ObsTest, CounterAndGaugeBasics)
     EXPECT_DOUBLE_EQ(g.value(), 2.5);
 }
 
-TEST_F(ObsTest, HistogramBucketBoundaries)
-{
-    using H = obs::Histogram;
-    EXPECT_EQ(H::bucketIndex(0), 0u);
-    EXPECT_EQ(H::bucketIndex(1), 1u);
-    EXPECT_EQ(H::bucketIndex(2), 2u);
-    EXPECT_EQ(H::bucketIndex(3), 2u);
-    EXPECT_EQ(H::bucketIndex(4), 3u);
-    EXPECT_EQ(H::bucketIndex(7), 3u);
-    EXPECT_EQ(H::bucketIndex(8), 4u);
-    EXPECT_EQ(H::bucketIndex(UINT64_MAX), H::numBuckets - 1);
-
-    // Buckets tile the uint64 range: [lower, upper] with no gaps.
-    EXPECT_EQ(H::bucketLowerBound(0), 0u);
-    EXPECT_EQ(H::bucketUpperBound(0), 0u);
-    for (std::size_t i = 1; i < H::numBuckets; ++i) {
-        EXPECT_EQ(H::bucketLowerBound(i), H::bucketUpperBound(i - 1) + 1);
-        EXPECT_EQ(H::bucketIndex(H::bucketLowerBound(i)), i);
-        EXPECT_EQ(H::bucketIndex(H::bucketUpperBound(i)), i);
-    }
-    EXPECT_EQ(H::bucketUpperBound(H::numBuckets - 1), UINT64_MAX);
-}
-
-TEST_F(ObsTest, HistogramRecordsSumCountAndBuckets)
-{
-    obs::Histogram &h =
-        obs::metricsRegistry().histogram("test.obs.hist");
-    h.reset();
-    h.record(0);
-    h.record(1);
-    h.record(3);
-    h.record(1000);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 1004u);
-    EXPECT_DOUBLE_EQ(h.mean(), 251.0);
-    EXPECT_EQ(h.bucketCount(0), 1u); // the 0
-    EXPECT_EQ(h.bucketCount(1), 1u); // the 1
-    EXPECT_EQ(h.bucketCount(2), 1u); // the 3
-    EXPECT_EQ(h.bucketCount(obs::Histogram::bucketIndex(1000)), 1u);
-}
-
 TEST_F(ObsTest, ResetPrefixScopesTheReset)
 {
     obs::Counter &mine =
@@ -471,30 +430,15 @@ TEST_F(ObsTest, SnapshotPrefixFiltersByName)
     obs::metricsRegistry().resetPrefix("test.snap.");
 }
 
-TEST_F(ObsTest, MetricsJsonParsesAndCoversLegacyCounters)
+TEST_F(ObsTest, MetricsJsonParsesAndReportsFailedWrites)
 {
-    // Every field of the legacy RuntimeCounters struct must appear in
-    // the export, even before any work has touched it.
-    static const char *const kLegacyNames[] = {
-        "runtime.parallelRegions", "runtime.inlineRegions",
-        "runtime.chunksExecuted",  "runtime.tasksSubmitted",
-        "runtime.submitterWaitNs", "runtime.workerIdleNs",
-        "gpusim.drawCache.hits",   "gpusim.drawCache.misses",
-        "cluster.kmeans.boundsSkipped", "cluster.kmeans.fullScans",
-        "cluster.leader.normRejects",   "cluster.leader.distances",
-        "gpusim.workTrace.draws",  "gpusim.workTrace.buildNs",
-        "core.sweep.passes",       "core.sweep.configs",
-        "core.sweep.drawsRetimed", "core.sweep.retimeNs",
-        "gpusim.texBind.hits",     "gpusim.texBind.misses",
-    };
-
+    obs::metricsRegistry().counter("test.json.counter").increment();
+    obs::metricsRegistry().gauge("test.json.gauge").set(0.25);
     const std::string json = obs::metricsRegistry().toJson();
     EXPECT_TRUE(JsonValidator(json).valid()) << json;
     EXPECT_NE(json.find("gws.metrics.v1"), std::string::npos);
-    for (const char *name : kLegacyNames)
-        EXPECT_NE(json.find(std::string("\"") + name + "\""),
-                  std::string::npos)
-            << "missing legacy counter " << name;
+    EXPECT_NE(json.find("\"test.json.counter\""), std::string::npos);
+    EXPECT_NE(json.find("\"test.json.gauge\""), std::string::npos);
 
     const std::string path = "test_obs_metrics.json";
     ASSERT_TRUE(obs::metricsRegistry().writeJson(path));
@@ -514,63 +458,37 @@ TEST_F(ObsTest, JsonEscapeHandlesControlCharacters)
 }
 
 
-// ------------------------------------------- histogram percentiles --
+// ------------------------------------------------- trace ring buffer --
 
-TEST(MetricsQuantile, EstimateLandsWithinOneBucketOfExact)
+/** Close ten distinct spans, cap.span.0 .. cap.span.9, in order. */
+void
+closeTenCapSpans()
 {
-    obs::metricsRegistry().resetPrefix("test.quant.");
-    obs::Histogram &h =
-        obs::metricsRegistry().histogram("test.quant.lat");
-
-    // Deterministic values spanning several octaves, skewed the way
-    // latency samples are: mostly small, with a heavy tail.
-    std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    std::vector<std::uint64_t> raw;
-    for (int i = 0; i < 4096; ++i) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        const std::uint64_t v = (state % 1000) * (state % 97) + 1;
-        raw.push_back(v);
-        h.record(v);
+    for (int i = 0; i < 10; ++i) {
+        obs::SpanScope span("cap.span." + std::to_string(i));
     }
-    std::sort(raw.begin(), raw.end());
-
-    const auto rows =
-        obs::metricsRegistry().snapshotPrefix("test.quant.");
-    ASSERT_EQ(rows.size(), 1u);
-    ASSERT_EQ(rows[0].histCount, raw.size());
-
-    for (double q : {0.50, 0.95, 0.99}) {
-        // Exact nearest-rank percentile of the raw samples.
-        std::size_t rank = static_cast<std::size_t>(
-            std::ceil(q * static_cast<double>(raw.size())));
-        if (rank > 0)
-            --rank;
-        const std::uint64_t exact = raw[rank];
-
-        const double est = obs::snapshotQuantile(rows[0], q);
-        const auto estBucket = obs::Histogram::bucketIndex(
-            static_cast<std::uint64_t>(std::llround(est)));
-        const auto exactBucket = obs::Histogram::bucketIndex(exact);
-        const std::size_t gap = estBucket > exactBucket
-                                    ? estBucket - exactBucket
-                                    : exactBucket - estBucket;
-        EXPECT_LE(gap, 1u)
-            << "q=" << q << " exact=" << exact << " est=" << est;
-    }
-
-    // The exporter surfaces the same estimates as first-class fields.
-    const std::string json = obs::metricsRegistry().toJson();
-    EXPECT_NE(json.find("\"p50\""), std::string::npos);
-    EXPECT_NE(json.find("\"p95\""), std::string::npos);
-    EXPECT_NE(json.find("\"p99\""), std::string::npos);
-    EXPECT_TRUE(JsonValidator(json).valid());
-
-    obs::metricsRegistry().resetPrefix("test.quant.");
 }
 
-// ------------------------------------------------- trace ring buffer --
+/** Rollup counts of the cap.span.* spans, by name. */
+std::map<std::string, std::uint64_t>
+capSpanRollup()
+{
+    std::map<std::string, std::uint64_t> counts;
+    for (const obs::SpanRollup &r : obs::traceRollup())
+        if (r.name.rfind("cap.span.", 0) == 0)
+            counts[r.name] = r.count;
+    return counts;
+}
+
+/** Each of the ten cap.span.* names once. */
+std::map<std::string, std::uint64_t>
+tenCapSpansOnce()
+{
+    std::map<std::string, std::uint64_t> counts;
+    for (int i = 0; i < 10; ++i)
+        counts["cap.span." + std::to_string(i)] = 1;
+    return counts;
+}
 
 TEST_F(ObsTest, TraceCapRingKeepsNewestAndCountsDrops)
 {
@@ -579,9 +497,7 @@ TEST_F(ObsTest, TraceCapRingKeepsNewestAndCountsDrops)
     obs::setTraceCapPerThread(4);
 
     obs::traceBegin();
-    for (int i = 0; i < 10; ++i) {
-        obs::SpanScope span("cap.span." + std::to_string(i));
-    }
+    closeTenCapSpans();
     obs::traceEnd();
 
     std::vector<std::string> kept;
@@ -599,6 +515,65 @@ TEST_F(ObsTest, TraceCapRingKeepsNewestAndCountsDrops)
                   .counter("gws.trace.dropped_spans")
                   .value(),
               6u);
+
+    // The rollup is folded as spans close: the six dropped are in it.
+    EXPECT_EQ(capSpanRollup(), tenCapSpansOnce());
+
+    obs::setTraceCapPerThread(savedCap);
+    obs::metricsRegistry().resetPrefix("gws.trace.");
+}
+
+TEST_F(ObsTest, RollupOnlyStartFoldsTheSameCountsAndKeepsNoEvent)
+{
+    const std::size_t savedCap = obs::traceCapPerThread();
+    obs::metricsRegistry().resetPrefix("gws.trace.");
+    obs::setTraceCapPerThread(4);
+    useThreads(2);
+
+    obs::traceBegin(obs::TraceRetention::RollupOnly);
+    closeTenCapSpans();
+    for (int i = 0; i < 3; ++i) {
+        obs::SpanScope outer("rollup_only.outer");
+        obs::SpanScope inner("rollup_only.inner");
+    }
+    parallelFor(0, 100, 10, [](std::size_t) {});
+    obs::traceInstant("rollup_only.instant", "kept nowhere");
+    obs::traceEnd();
+
+    EXPECT_EQ(obs::traceEventCount(), 0u);
+    EXPECT_EQ(obs::metricsRegistry()
+                  .counter("gws.trace.dropped_spans")
+                  .value(),
+              0u);
+    EXPECT_EQ(capSpanRollup(), tenCapSpansOnce());
+
+    const obs::SpanRollup *outer = nullptr, *inner = nullptr,
+                          *chunk = nullptr;
+    const std::vector<obs::SpanRollup> rows = obs::traceRollup();
+    for (const auto &r : rows) {
+        if (r.name == "rollup_only.outer")
+            outer = &r;
+        if (r.name == "rollup_only.inner")
+            inner = &r;
+        if (r.name == "runtime.chunk")
+            chunk = &r;
+    }
+    ASSERT_NE(outer, nullptr);
+    ASSERT_NE(inner, nullptr);
+    ASSERT_NE(chunk, nullptr);
+    EXPECT_EQ(outer->count, 3u);
+    EXPECT_EQ(inner->count, 3u);
+    // Chunks run on the pool worker too, which folds into its own
+    // table; the rollup merges both threads.
+    EXPECT_EQ(chunk->count, 10u);
+    // Self time excludes exactly the time spent in child spans.
+    EXPECT_EQ(outer->selfNs + inner->totalNs, outer->totalNs);
+    EXPECT_EQ(inner->selfNs, inner->totalNs);
+
+    // The next recording starts from an empty rollup.
+    obs::traceBegin();
+    obs::traceEnd();
+    EXPECT_TRUE(obs::traceRollup().empty());
 
     obs::setTraceCapPerThread(savedCap);
     obs::metricsRegistry().resetPrefix("gws.trace.");

@@ -351,10 +351,6 @@ TEST(ReportMetrics, JsonRoundTripThroughRegistryExporter)
     obs::metricsRegistry().resetPrefix("test.report.");
     obs::metricsRegistry().counter("test.report.hits").add(42);
     obs::metricsRegistry().gauge("test.report.load").set(1.5);
-    obs::Histogram &h =
-        obs::metricsRegistry().histogram("test.report.lat");
-    for (std::uint64_t v : {3u, 5u, 9u, 17u, 900u})
-        h.record(v);
 
     const MetricsData data =
         readMetricsText(obs::metricsRegistry().toJson());
@@ -367,18 +363,10 @@ TEST(ReportMetrics, JsonRoundTripThroughRegistryExporter)
 
     const MetricRow *load = data.find("test.report.load");
     ASSERT_NE(load, nullptr);
+    EXPECT_EQ(load->type, "gauge");
     EXPECT_DOUBLE_EQ(load->value, 1.5);
 
-    const MetricRow *lat = data.find("test.report.lat");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->type, "histogram");
-    EXPECT_EQ(lat->count, 5u);
-    EXPECT_DOUBLE_EQ(lat->sum, 934.0);
-    EXPECT_FALSE(lat->buckets.empty());
-    EXPECT_GT(lat->p50, 0.0);
-    EXPECT_GE(lat->p99, lat->p50);
-
-    EXPECT_EQ(data.withPrefix("test.report.").size(), 3u);
+    EXPECT_EQ(data.withPrefix("test.report.").size(), 2u);
 }
 
 TEST(ReportMetrics, RejectsWrongSchemaAndEmptyInput)
@@ -390,13 +378,19 @@ TEST(ReportMetrics, RejectsWrongSchemaAndEmptyInput)
     EXPECT_THROW(readMetricsText("{\"schema\": \"gws.metrics.v1\""),
                  ReportError);
     // gws.metrics.v1 JSON is the only wire format, and each row must
-    // be a counter, gauge or histogram.
+    // be a counter or a gauge.
     EXPECT_THROW(readMetricsText("gws_test_hits_total 42\n"),
                  ReportError);
     EXPECT_THROW(readMetricsText(
                      "{\"schema\": \"gws.metrics.v1\", \"metrics\": "
                      "[{\"name\": \"gws.test.build\", \"type\": "
                      "\"info\", \"value\": \"abc\"}]}"),
+                 ReportError);
+    EXPECT_THROW(readMetricsText(
+                     "{\"schema\": \"gws.metrics.v1\", \"metrics\": "
+                     "[{\"name\": \"gws.test.latency\", \"type\": "
+                     "\"histogram\", \"count\": 1, \"sum\": 5, "
+                     "\"buckets\": []}]}"),
                  ReportError);
 }
 

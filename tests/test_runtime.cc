@@ -3,7 +3,7 @@
  * Unit tests for the parallel execution runtime: configuration
  * resolution, range/grain edge cases, ordered reduction, exception
  * propagation, nested (reentrant) loops, pool shutdown/restart, and
- * the observability counters.
+ * the registry counters the loops bump.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "runtime/runtime.hh"
 #include "util/rng.hh"
 
@@ -50,6 +51,13 @@ class RuntimeTest : public ::testing::Test
 
     RuntimeConfig saved;
 };
+
+/** Current value of the registry counter `name`. */
+std::uint64_t
+counter(const char *name)
+{
+    return obs::metricsRegistry().counter(name).value();
+}
 
 // ------------------------------------------------------------- config --
 
@@ -112,40 +120,37 @@ TEST_F(RuntimeTest, CoversEveryIndexExactlyOnce)
 TEST_F(RuntimeTest, GrainLargerThanRangeRunsInline)
 {
     useThreads(8);
-    resetRuntimeCounters();
+    obs::metricsRegistry().resetPrefix("runtime.");
     std::atomic<int> calls{0};
     parallelFor(0, 10, 1000, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 10);
-    const RuntimeCounters c = runtimeCounters();
-    EXPECT_EQ(c.parallelRegions, 0u);
-    EXPECT_EQ(c.inlineRegions, 1u);
-    EXPECT_EQ(c.chunksExecuted, 1u);
+    EXPECT_EQ(counter("runtime.parallelRegions"), 0u);
+    EXPECT_EQ(counter("runtime.inlineRegions"), 1u);
+    EXPECT_EQ(counter("runtime.chunksExecuted"), 1u);
 }
 
 TEST_F(RuntimeTest, FansOutWhenChunksAndThreadsAllow)
 {
     useThreads(4);
-    resetRuntimeCounters();
+    obs::metricsRegistry().resetPrefix("runtime.");
     std::atomic<int> calls{0};
     parallelFor(0, 100, 10, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 100);
-    const RuntimeCounters c = runtimeCounters();
-    EXPECT_EQ(c.parallelRegions, 1u);
-    EXPECT_EQ(c.chunksExecuted, 10u);
-    EXPECT_EQ(c.tasksSubmitted, 3u);
+    EXPECT_EQ(counter("runtime.parallelRegions"), 1u);
+    EXPECT_EQ(counter("runtime.chunksExecuted"), 10u);
+    EXPECT_EQ(counter("runtime.tasksSubmitted"), 3u);
 }
 
 TEST_F(RuntimeTest, ThreadsOneRunsInlineWithSameChunking)
 {
     useThreads(1);
-    resetRuntimeCounters();
+    obs::metricsRegistry().resetPrefix("runtime.");
     std::atomic<int> calls{0};
     parallelFor(0, 100, 10, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 100);
-    const RuntimeCounters c = runtimeCounters();
-    EXPECT_EQ(c.parallelRegions, 0u);
-    EXPECT_EQ(c.inlineRegions, 1u);
-    EXPECT_EQ(c.chunksExecuted, 10u);
+    EXPECT_EQ(counter("runtime.parallelRegions"), 0u);
+    EXPECT_EQ(counter("runtime.inlineRegions"), 1u);
+    EXPECT_EQ(counter("runtime.chunksExecuted"), 10u);
 }
 
 // -------------------------------------------------- map & reduction --
@@ -332,88 +337,6 @@ TEST_F(RuntimeTest, WorkActuallyRunsOffThread)
     // helpers do too. Never *more* threads than configured.
     EXPECT_GE(ids.size(), 1u);
     EXPECT_LE(ids.size(), 5u);
-}
-
-// ----------------------------------------------------------- counters --
-
-TEST(RuntimeCountersMath, RateHelpersGuardZeroDenominators)
-{
-    // A freshly-reset (all-zero) snapshot must not divide by zero in
-    // any derived-rate helper.
-    const RuntimeCounters zero;
-    EXPECT_EQ(zero.drawCacheHitRate(), 0.0);
-    EXPECT_EQ(zero.kmeansBoundsSkipRate(), 0.0);
-    EXPECT_EQ(zero.sweepConfigsPerPass(), 0.0);
-    EXPECT_EQ(zero.sweepDrawsRetimedPerSec(), 0.0);
-}
-
-TEST(RuntimeCountersMath, DrawCacheHitRate)
-{
-    RuntimeCounters c;
-    c.drawCacheHits = 3;
-    c.drawCacheMisses = 1;
-    EXPECT_DOUBLE_EQ(c.drawCacheHitRate(), 0.75);
-    c.drawCacheMisses = 0;
-    EXPECT_DOUBLE_EQ(c.drawCacheHitRate(), 1.0);
-}
-
-TEST(RuntimeCountersMath, KmeansBoundsSkipRate)
-{
-    RuntimeCounters c;
-    c.kmeansBoundsSkipped = 9;
-    c.kmeansFullScans = 1;
-    EXPECT_DOUBLE_EQ(c.kmeansBoundsSkipRate(), 0.9);
-    c.kmeansBoundsSkipped = 0;
-    EXPECT_DOUBLE_EQ(c.kmeansBoundsSkipRate(), 0.0);
-}
-
-TEST(RuntimeCountersMath, SweepConfigsPerPass)
-{
-    RuntimeCounters c;
-    c.sweepPasses = 4;
-    c.sweepConfigs = 10;
-    EXPECT_DOUBLE_EQ(c.sweepConfigsPerPass(), 2.5);
-}
-
-TEST(RuntimeCountersMath, SweepDrawsRetimedPerSec)
-{
-    RuntimeCounters c;
-    c.sweepDrawsRetimed = 500;
-    c.sweepRetimeNs = 1000000000; // one second
-    EXPECT_DOUBLE_EQ(c.sweepDrawsRetimedPerSec(), 500.0);
-}
-
-TEST_F(RuntimeTest, RegionTimerAccumulates)
-{
-    resetRuntimeCounters();
-    {
-        ScopedRegion r("test.region");
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    {
-        ScopedRegion r("test.region");
-    }
-    const auto stats = runtimeRegionStats();
-    ASSERT_EQ(stats.size(), 1u);
-    EXPECT_EQ(stats[0].name, "test.region");
-    EXPECT_EQ(stats[0].count, 2u);
-    EXPECT_GT(stats[0].ns, 1000000u);
-    EXPECT_NE(runtimeCountersReport().find("test.region"),
-              std::string::npos);
-}
-
-TEST_F(RuntimeTest, ResetClearsCountersAndRegions)
-{
-    useThreads(4);
-    parallelFor(0, 100, 10, [](std::size_t) {});
-    {
-        ScopedRegion r("test.reset");
-    }
-    resetRuntimeCounters();
-    const RuntimeCounters c = runtimeCounters();
-    EXPECT_EQ(c.parallelRegions + c.inlineRegions, 0u);
-    EXPECT_EQ(c.chunksExecuted, 0u);
-    EXPECT_TRUE(runtimeRegionStats().empty());
 }
 
 } // namespace

@@ -23,7 +23,7 @@
 #include "core/sweep.hh"
 #include "gpusim/draw_work_cache.hh"
 #include "gpusim/work_trace.hh"
-#include "runtime/counters.hh"
+#include "obs/metrics.hh"
 #include "runtime/runtime.hh"
 #include "synth/generator.hh"
 #include "sweep_reference.hh"
@@ -327,8 +327,10 @@ TEST_F(SweepTest, TextureBindMemoIsTransparent)
     MemorySystem memory(makeGpuPreset("baseline"));
     const DrawCall &draw = trace.frame(0).draws()[0];
 
+    const obs::Counter &hits =
+        obs::metricsRegistry().counter("gpusim.texBind.hits");
     const MemoryTraffic first = memory.drawTraffic(trace, draw);
-    const std::uint64_t hits_before = runtimeCounters().texBindHits;
+    const std::uint64_t hits_before = hits.value();
     const MemoryTraffic second = memory.drawTraffic(trace, draw);
     EXPECT_EQ(first.texSamples, second.texSamples);
     EXPECT_EQ(first.texL2FillBytes, second.texL2FillBytes);
@@ -336,7 +338,7 @@ TEST_F(SweepTest, TextureBindMemoIsTransparent)
     EXPECT_EQ(first.vertexDramBytes, second.vertexDramBytes);
     EXPECT_EQ(first.rtDramBytes, second.rtDramBytes);
     if (first.texSamples > 0) {
-        EXPECT_GT(runtimeCounters().texBindHits, hits_before);
+        EXPECT_GT(hits.value(), hits_before);
     }
 }
 
